@@ -1,31 +1,42 @@
 """Tutte polynomial, characteristic polynomial, and friends.
 
-The production Tutte computation is deletion-contraction with loops and
-coloops batched out first and the branch element fixed to the smallest
-index, memoized on the canonical key of each minor (rref of the realizing
-subspace, or the sorted bases list).  The corank-nullity expansion over all
-subsets is kept as an independent oracle, and the flats/Moebius expansion of
-the characteristic polynomial doubles as a second oracle for that
-derivation.
+Production routes run deletion-contraction on views of the input matroid
+rather than on minors built one by one.  A view is a pair (R, C) of
+bitmasks: R the remaining elements, C the flat spanned by the contracted
+ones.  Because rank_{M\\A/B}(S) = r(S + cl B) - r(cl B), the view fixes the
+labelled minor, so it serves as its memo key, and every rank query goes to
+the one mask-keyed rank oracle of the input.
 
-The memo table is shared module-wide: canonical keys make minors of
-different inputs coincide, which is where most of the reuse comes from.
-Entries are only ever inserted, never changed, so concurrent readers under
-the interpreter lock see consistent values.
+  tutte      batches loops into a factor y and coloops into a factor x, then
+             branches on the smallest remaining element;
+  char_poly  recurses on chi alone: 0 on a loop, (t - 1) chi(M/e) on a
+             coloop, chi(M\\e) - chi(M/e) otherwise.  When e has a parallel
+             partner, M/e has a loop, so chi(M) = chi(M\\e) and e is dropped
+             before the view is memoized.
+
+Each memo table lives for one top-level call; only the final polynomials
+are kept, on the Matroid instance.  The corank-nullity expansion over all
+subsets is kept as an independent oracle, and the flats/Moebius expansion of
+the characteristic polynomial doubles as a second oracle for chi; neither
+goes through the view recursions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .matroids import Matroid, contract_set, flats, restrict
+from .matroids import Matroid, flats
 from .ratpoly import BiPoly, UniPoly
 
-_TUTTE_MEMO: dict = {}
 
-
-def clear_tutte_cache() -> None:
-    _TUTTE_MEMO.clear()
+def _add_shifted(a: dict, b: dict, dx: int, dy: int) -> dict:
+    """x^dx y^dy (a + b) on term dicts."""
+    out = {(i + dx, j + dy): c for (i, j), c in a.items()}
+    for (i, j), c in b.items():
+        key = (i + dx, j + dy)
+        out[key] = out.get(key, 0) + c
+    return out
 
 
 def tutte(M: Matroid) -> BiPoly:
@@ -34,30 +45,43 @@ def tutte(M: Matroid) -> BiPoly:
     Loops contribute a factor y, coloops a factor x, and otherwise
     T = T(delete e) + T(contract e) on the smallest remaining element.
     """
-    key = M.cache_key()
-    cached = _TUTTE_MEMO.get(key)
-    if cached is not None:
-        return cached
-    if M.n == 0:
-        result = BiPoly.one()
-        _TUTTE_MEMO[key] = result
-        return result
-    loops = M.loops()
-    core = M
-    if loops:
-        core, _ = restrict(M, set(M.ground) - set(loops))
-    coloops = core.coloops()
-    if coloops:
-        core, _ = contract_set(core, coloops)
-    factor = BiPoly({(len(coloops), len(loops)): 1})
-    if core.n == 0:
-        result = factor
-    else:
-        left, _ = restrict(core, set(core.ground) - {1})
-        right, _ = contract_set(core, {1})
-        result = factor * (tutte(left) + tutte(right))
-    _TUTTE_MEMO[key] = result
-    return result
+    if M._tutte is not None:
+        return M._tutte
+    rank, closure = M.rank_mask, M.closure_mask
+    memo: dict[tuple[int, int], dict] = {}
+
+    def view(R: int, C: int, coloop_free: bool = False) -> dict:
+        key = (R, C)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        loops = R & C
+        R ^= loops
+        coloops = 0
+        # Contracting an element of a coloop-free view leaves it coloop-free.
+        if not coloop_free:
+            full = rank(R | C)
+            rest = R
+            while rest:
+                e = rest & -rest
+                rest ^= e
+                if rank((R | C) ^ e) < full:
+                    coloops |= e
+        if coloops:
+            R ^= coloops
+            C = closure(C | coloops)
+        dx, dy = coloops.bit_count(), loops.bit_count()
+        if not R:
+            value = {(dx, dy): 1}
+        else:
+            e = R & -R
+            R ^= e
+            value = _add_shifted(view(R, C), view(R, closure(C | e), True), dx, dy)
+        memo[key] = value
+        return value
+
+    M._tutte = BiPoly(view((1 << M.n) - 1, closure(0)))
+    return M._tutte
 
 
 def tutte_bruteforce(M: Matroid) -> BiPoly:
@@ -88,16 +112,64 @@ def tutte_bruteforce(M: Matroid) -> BiPoly:
     return total
 
 
+def _chi_sub(a: tuple, b: tuple) -> tuple:
+    """a - b on coefficient tuples (low degree first)."""
+    if len(a) < len(b):
+        a = a + (0,) * (len(b) - len(a))
+    return tuple(x - y for x, y in zip(a, b)) + a[len(b):]
+
+
+def _view_chi(M: Matroid) -> Callable[[int, int], tuple]:
+    """chi of the views of M, as coefficient tuples, memoized per returned
+    function.
+
+    chi(R, C) is the characteristic polynomial of the minor on the
+    elements R after contracting the flat C (low degree first; () is zero).
+    """
+    rank, closure = M.rank_mask, M.closure_mask
+    memo: dict[tuple[int, int], tuple] = {}
+
+    def chi(R: int, C: int) -> tuple:
+        if R & C:
+            return ()
+        while R:
+            e = R & -R
+            Ce = closure(C | e)
+            if not (Ce & R) ^ e:
+                break
+            R ^= e
+        if not R:
+            return (1,)
+        key = (R, C)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        rest = R ^ e
+        if rank(rest | C) < rank(R | C):
+            sub = chi(rest, Ce)
+            value = _chi_sub((0,) + sub, sub)
+        else:
+            value = _chi_sub(chi(rest, C), chi(rest, Ce))
+        memo[key] = value
+        return value
+
+    return chi
+
+
 def char_poly(M: Matroid) -> UniPoly:
     """Characteristic polynomial chi(t) = (-1)^r T(1-t, 0).
 
-    Zero when the matroid has a loop (y divides T, so the y=0 slice dies).
+    Zero when the matroid has a loop.  Read off the Tutte polynomial when
+    that is already known, otherwise computed by its own recursion.
     """
-    T = tutte(M)
-    slice_x = T.x_slice_at_y_zero()
-    composed = slice_x.compose_linear(1, -1)
-    sign = -1 if M.full_rank() % 2 else 1
-    return composed.scale(sign)
+    if M._charpoly is None:
+        if M._tutte is not None:
+            sign = -1 if M.full_rank() % 2 else 1
+            slice_x = M._tutte.x_slice_at_y_zero()
+            M._charpoly = slice_x.compose_linear(1, -1).scale(sign)
+        else:
+            M._charpoly = UniPoly(_view_chi(M)((1 << M.n) - 1, M.closure_mask(0)))
+    return M._charpoly
 
 
 def char_poly_flats(M: Matroid) -> UniPoly:

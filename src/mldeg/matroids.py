@@ -6,9 +6,11 @@ bases (rank of S = largest intersection of S with a basis).  Explicit input
 exists so that purely combinatorial formulas can be exercised on matroids
 with no realization at hand.
 
-Rank and closure queries are memoized per instance; the caches are filled
-monotonically with values that never change, so concurrent readers are safe
-under the interpreter lock.  The lattice of flats, once built, is immutable.
+Subsets are also handled as int bitmasks, element e at bit e - 1.  Rank and
+closure queries are memoized per instance, keyed by mask; the caches are
+filled monotonically with values that never change, so concurrent readers
+are safe under the interpreter lock.  The lattice of flats, once built, is
+immutable.
 
 Minor operations relabel the surviving ground set by order-preserving
 compression and return the relabeling alongside: element k of the minor sat
@@ -20,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from typing import Iterable, Sequence
 
 from .linalg import (
     QMatrix,
     Subspace,
+    _integer_rows,
     contract_subspace,
     rank_int_rows,
     restrict_subspace,
@@ -40,10 +42,13 @@ class Matroid:
         "_subspace",
         "_int_rows",
         "_bases",
+        "_basis_masks",
         "_rank_cache",
         "_closure_cache",
         "_lattice",
         "_components",
+        "_tutte",
+        "_charpoly",
     )
 
     def __init__(self, n: int, subspace: Subspace | None = None,
@@ -56,14 +61,18 @@ class Matroid:
         self._subspace = subspace
         self._int_rows = None
         self._bases = None
-        self._rank_cache: dict[frozenset, int] = {}
-        self._closure_cache: dict[frozenset, frozenset] = {}
+        self._basis_masks = None
+        self._rank_cache: dict[int, int] = {}
+        self._closure_cache: dict[int, int] = {}
         self._lattice = None
         self._components = None
+        # Final Tutte and characteristic polynomials, set by mldeg.invariants.
+        self._tutte = None
+        self._charpoly = None
         if subspace is not None:
             if subspace.ambient_n != n:
                 raise ValueError("subspace ambient dimension must equal n")
-            self._int_rows = _scaled_integer_rows(subspace.basis)
+            self._int_rows = _integer_rows(subspace.basis.entries)
         else:
             blist = [frozenset(int(e) for e in b) for b in bases]
             if not blist:
@@ -75,6 +84,7 @@ class Matroid:
                 if any(e < 1 or e > n for e in b):
                     raise ValueError("basis element outside 1..n")
             self._bases = tuple(sorted(blist, key=sorted))
+            self._basis_masks = tuple(_mask_of(b) for b in self._bases)
 
     # -- construction -----------------------------------------------------
 
@@ -119,22 +129,42 @@ class Matroid:
             raise ValueError(f"subset {sorted(fs)} not inside 1..{self.n}")
         return fs
 
+    def mask(self, S: Iterable[int]) -> int:
+        """Bitmask of the subset S: element e sits at bit e - 1."""
+        return _mask_of(self._subset(S))
+
+    def rank_mask(self, mask: int) -> int:
+        """Rank of the subset whose element e sits at bit e - 1."""
+        cached = self._rank_cache.get(mask)
+        if cached is None:
+            if self._basis_masks is not None:
+                cached = max((b & mask).bit_count() for b in self._basis_masks)
+            else:
+                cols = [j for j in range(self.n) if mask >> j & 1]
+                cached = rank_int_rows(
+                    [[row[j] for j in cols] for row in self._int_rows]
+                ) if cols else 0
+            self._rank_cache[mask] = cached
+        return cached
+
+    def closure_mask(self, mask: int) -> int:
+        """Mask of the largest superset of `mask` with the same rank."""
+        cached = self._closure_cache.get(mask)
+        if cached is None:
+            rk = self.rank_mask(mask)
+            cached = mask
+            for j in range(self.n):
+                bit = 1 << j
+                if not mask & bit and self.rank_mask(mask | bit) == rk:
+                    cached |= bit
+            self._closure_cache[mask] = cached
+        return cached
+
     def rank(self, S: Iterable[int]) -> int:
-        fs = self._subset(S)
-        cached = self._rank_cache.get(fs)
-        if cached is not None:
-            return cached
-        if self._subspace is not None:
-            cols = sorted(fs)
-            rows = [[row[j - 1] for j in cols] for row in self._int_rows]
-            value = rank_int_rows(rows) if cols else 0
-        else:
-            value = max((len(b & fs) for b in self._bases), default=0)
-        self._rank_cache[fs] = value
-        return value
+        return self.rank_mask(self.mask(S))
 
     def full_rank(self) -> int:
-        return self.rank(self.ground)
+        return self.rank_mask((1 << self.n) - 1)
 
     def is_independent(self, S: Iterable[int]) -> bool:
         fs = self._subset(S)
@@ -142,18 +172,7 @@ class Matroid:
 
     def closure(self, S: Iterable[int]) -> frozenset:
         """Largest superset of S with the same rank."""
-        fs = self._subset(S)
-        cached = self._closure_cache.get(fs)
-        if cached is not None:
-            return cached
-        rk = self.rank(fs)
-        out = set(fs)
-        for e in range(1, self.n + 1):
-            if e not in out and self.rank(fs | {e}) == rk:
-                out.add(e)
-        result = frozenset(out)
-        self._closure_cache[fs] = result
-        return result
+        return _elements_of(self.closure_mask(self.mask(S)))
 
     def loops(self) -> tuple[int, ...]:
         return tuple(e for e in self.ground if self.rank({e}) == 0)
@@ -180,15 +199,15 @@ class Matroid:
         return f"Matroid(n={self.n}, rank={self.full_rank()}, {kind})"
 
 
-def _scaled_integer_rows(B: QMatrix) -> list[list[int]]:
-    rows = []
-    for row in B.entries:
-        mult = 1
-        for e in row:
-            d = e.denominator
-            mult = mult * d // gcd(mult, d)
-        rows.append([int(e * mult) for e in row])
-    return rows
+def _mask_of(S: Iterable[int]) -> int:
+    mask = 0
+    for e in S:
+        mask |= 1 << (e - 1)
+    return mask
+
+
+def _elements_of(mask: int) -> frozenset:
+    return frozenset(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 def matroid_from_matrix(A: QMatrix) -> Matroid:

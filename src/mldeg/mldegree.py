@@ -4,23 +4,24 @@ Everything here is a function of the matroid M of the subspace L:
 
   rmld(M)            = (-2)^r chi(1/2)        reciprocal ML degree
   mld(M)             = |chi(0)|               ML degree
-  score_count(M, d)  = d^r T(1 - 1/d, 0)      solutions of the score
-                                              equations with exponent d
-                                              (d = 2 is rmld, d = 0 is mld)
+  score_count(M, d)  = (-d)^r chi(1/d)        solutions of the score
+                                              equations with exponent d >= 1
+                                              (d = 2 is rmld; d = 0 is mld)
 
-score_count_dc recomputes the same number by deletion-contraction, which
-gives an independent route used in the verification suite.  All degrees are
-zero as soon as the matroid has a loop.
+All three read only the characteristic polynomial chi.  Since
+d^r T(1 - 1/d, 0) = (-d)^r chi(1/d), the count is also a Tutte evaluation.
+score_count_dc recomputes the same number by deletion-contraction on
+explicitly built minors, which gives an independent route used in the
+verification suite.  All degrees are zero as soon as the matroid has a loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Union
 
-from .invariants import char_poly, mobius_invariant, tutte
+from .invariants import _view_chi, char_poly, mobius_invariant
 from .linalg import Subspace
 from .matroids import (
     Matroid,
@@ -40,16 +41,24 @@ def _as_matroid(source: MatroidLike) -> Matroid:
     return Matroid.from_subspace(source)
 
 
+def _count_from_chi(chi: tuple, r: int, d: int) -> int:
+    """(-d)^r chi(1/d) = (-1)^r sum_k chi_k d^(r-k), for a rank-r chi."""
+    value = 0
+    for c in chi:
+        value = value * d + c
+    value *= d ** (r + 1 - len(chi))
+    value = -value if r % 2 else value
+    if value < 0:
+        raise RuntimeError(
+            f"score count evaluated to non-count {value} (d={d}, r={r})"
+        )
+    return value
+
+
 def rmld(M: MatroidLike) -> int:
     """Reciprocal ML degree: (-2)^r chi(1/2), zero when loops are present."""
     M = _as_matroid(M)
-    if M.loops():
-        return 0
-    r = M.full_rank()
-    value = Fraction(-2) ** r * char_poly(M).evaluate(Fraction(1, 2))
-    if value.denominator != 1 or value < 0:
-        raise RuntimeError(f"rmld evaluated to non-count {value}")
-    return int(value)
+    return _count_from_chi(char_poly(M).coeffs, M.full_rank(), 2)
 
 
 def mld(M: MatroidLike) -> int:
@@ -62,22 +71,13 @@ def mld(M: MatroidLike) -> int:
 
 def score_count(M: MatroidLike, d: int) -> int:
     """Number of score-equation solutions (with multiplicity) for generic
-    parameters: d^r T(1 - 1/d, 0) for d >= 1, and mld for d = 0."""
+    parameters: (-d)^r chi(1/d) for d >= 1, and mld for d = 0."""
     M = _as_matroid(M)
     if d < 0:
         raise ValueError("exponent d must be nonnegative")
     if d == 0:
         return mld(M)
-    r = M.full_rank()
-    value = Fraction(d) ** r * tutte(M).evaluate(Fraction(d - 1, d), Fraction(0))
-    if value.denominator != 1 or value < 0:
-        raise RuntimeError(
-            f"score count evaluated to non-count {value} (d={d}, r={r})"
-        )
-    return int(value)
-
-
-_DC_MEMO: dict = {}
+    return _count_from_chi(char_poly(M).coeffs, M.full_rank(), d)
 
 
 def score_count_dc(M: MatroidLike, d: int) -> int:
@@ -92,24 +92,27 @@ def score_count_dc(M: MatroidLike, d: int) -> int:
     M = _as_matroid(M)
     if d < 1:
         raise ValueError("deletion-contraction route needs d >= 1")
-    if M.loops():
-        return 0
-    if M.n == 0:
-        return 1
-    key = (M.cache_key(), d)
-    cached = _DC_MEMO.get(key)
-    if cached is not None:
-        return cached
-    coloops = set(M.coloops())
-    if 1 in coloops:
-        minor, _ = contract_set(M, {1})
-        value = (d - 1) * score_count_dc(minor, d)
-    else:
-        deleted, _ = restrict(M, set(M.ground) - {1})
-        contracted, _ = contract_set(M, {1})
-        value = score_count_dc(deleted, d) + d * score_count_dc(contracted, d)
-    _DC_MEMO[key] = value
-    return value
+    memo: dict = {}
+
+    def count(N: Matroid) -> int:
+        if N.loops():
+            return 0
+        if N.n == 0:
+            return 1
+        key = N.cache_key()
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        contracted, _ = contract_set(N, {1})
+        if 1 in N.coloops():
+            value = (d - 1) * count(contracted)
+        else:
+            deleted, _ = restrict(N, set(N.ground) - {1})
+            value = count(deleted) + d * count(contracted)
+        memo[key] = value
+        return value
+
+    return count(M)
 
 
 def _binom(m: int, k: int) -> int:
@@ -209,11 +212,14 @@ def verify_stratification(L: MatroidLike, d: int) -> StratificationReport:
     lhs = d ** r * mu_abs
     contributions = []
     rhs = 0
+    # M|F is the view (F, cl(empty) = empty) and M/F the view (E - F, F);
+    # one chi memo serves every flat.
+    chi = _view_chi(M)
+    ground = (1 << M.n) - 1
     for F in flats(M).flats:
-        restriction, _ = restrict(M, F)
-        count = score_count(restriction, d)
-        contraction, _ = contract_set(M, F)
-        mu_c = abs(mobius_invariant(contraction))
+        mask = M.mask(F)
+        count = _count_from_chi(chi(mask, 0), M.rank_mask(mask), d)
+        mu_c = abs(chi(ground ^ mask, mask)[0])
         rhs += count * mu_c
         contributions.append(
             FlatContribution(flat=tuple(sorted(F)), count=count, mu_contract=mu_c)
