@@ -14,29 +14,20 @@ the one mask-keyed rank oracle of the input.
              partner, M/e has a loop, so chi(M) = chi(M\\e) and e is dropped
              before the view is memoized.
 
-Each memo table lives for one top-level call; only the final polynomials
-are kept, on the Matroid instance.  The corank-nullity expansion over all
-subsets is kept as an independent oracle, and the flats/Moebius expansion of
-the characteristic polynomial doubles as a second oracle for chi; neither
-goes through the view recursions.
+Each memo table lives for one top-level call; only the final chi is kept,
+on the Matroid instance.  The corank-nullity expansion over all subsets is
+kept as an independent oracle, and the flats/Moebius expansion of the
+characteristic polynomial doubles as a second oracle for chi; neither goes
+through the view recursions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .matroids import Matroid, flats
 from .ratpoly import BiPoly, UniPoly
-
-
-def _add_shifted(a: dict, b: dict, dx: int, dy: int) -> dict:
-    """x^dx y^dy (a + b) on term dicts."""
-    out = {(i + dx, j + dy): c for (i, j), c in a.items()}
-    for (i, j), c in b.items():
-        key = (i + dx, j + dy)
-        out[key] = out.get(key, 0) + c
-    return out
 
 
 def tutte(M: Matroid) -> BiPoly:
@@ -45,12 +36,10 @@ def tutte(M: Matroid) -> BiPoly:
     Loops contribute a factor y, coloops a factor x, and otherwise
     T = T(delete e) + T(contract e) on the smallest remaining element.
     """
-    if M._tutte is not None:
-        return M._tutte
     rank, closure = M.rank_mask, M.closure_mask
-    memo: dict[tuple[int, int], dict] = {}
+    memo: dict[tuple[int, int], BiPoly] = {}
 
-    def view(R: int, C: int, coloop_free: bool = False) -> dict:
+    def view(R: int, C: int, coloop_free: bool = False) -> BiPoly:
         key = (R, C)
         cached = memo.get(key)
         if cached is not None:
@@ -70,18 +59,15 @@ def tutte(M: Matroid) -> BiPoly:
         if coloops:
             R ^= coloops
             C = closure(C | coloops)
-        dx, dy = coloops.bit_count(), loops.bit_count()
-        if not R:
-            value = {(dx, dy): 1}
-        else:
+        value = BiPoly({(coloops.bit_count(), loops.bit_count()): 1})
+        if R:
             e = R & -R
             R ^= e
-            value = _add_shifted(view(R, C), view(R, closure(C | e), True), dx, dy)
+            value = value * (view(R, C) + view(R, closure(C | e), True))
         memo[key] = value
         return value
 
-    M._tutte = BiPoly(view((1 << M.n) - 1, closure(0)))
-    return M._tutte
+    return view((1 << M.n) - 1, closure(0))
 
 
 def tutte_bruteforce(M: Matroid) -> BiPoly:
@@ -112,26 +98,21 @@ def tutte_bruteforce(M: Matroid) -> BiPoly:
     return total
 
 
-def _chi_sub(a: tuple, b: tuple) -> tuple:
-    """a - b on coefficient tuples (low degree first)."""
-    if len(a) < len(b):
-        a = a + (0,) * (len(b) - len(a))
-    return tuple(x - y for x, y in zip(a, b)) + a[len(b):]
+_T_MINUS_ONE = UniPoly((-1, 1))
 
 
-def _view_chi(M: Matroid) -> Callable[[int, int], tuple]:
-    """chi of the views of M, as coefficient tuples, memoized per returned
-    function.
+def _view_chi(M: Matroid) -> Callable[[int, int], UniPoly]:
+    """chi of the views of M, memoized per returned function.
 
     chi(R, C) is the characteristic polynomial of the minor on the
-    elements R after contracting the flat C (low degree first; () is zero).
+    elements R after contracting the flat C.
     """
     rank, closure = M.rank_mask, M.closure_mask
-    memo: dict[tuple[int, int], tuple] = {}
+    memo: dict[tuple[int, int], UniPoly] = {}
 
-    def chi(R: int, C: int) -> tuple:
+    def chi(R: int, C: int) -> UniPoly:
         if R & C:
-            return ()
+            return UniPoly.zero()
         while R:
             e = R & -R
             Ce = closure(C | e)
@@ -139,17 +120,16 @@ def _view_chi(M: Matroid) -> Callable[[int, int], tuple]:
                 break
             R ^= e
         if not R:
-            return (1,)
+            return UniPoly.one()
         key = (R, C)
         cached = memo.get(key)
         if cached is not None:
             return cached
         rest = R ^ e
         if rank(rest | C) < rank(R | C):
-            sub = chi(rest, Ce)
-            value = _chi_sub((0,) + sub, sub)
+            value = _T_MINUS_ONE * chi(rest, Ce)
         else:
-            value = _chi_sub(chi(rest, C), chi(rest, Ce))
+            value = chi(rest, C) - chi(rest, Ce)
         memo[key] = value
         return value
 
@@ -157,19 +137,33 @@ def _view_chi(M: Matroid) -> Callable[[int, int], tuple]:
 
 
 def char_poly(M: Matroid) -> UniPoly:
-    """Characteristic polynomial chi(t) = (-1)^r T(1-t, 0).
-
-    Zero when the matroid has a loop.  Read off the Tutte polynomial when
-    that is already known, otherwise computed by its own recursion.
-    """
+    """Characteristic polynomial chi(t) = (-1)^r T(1-t, 0), zero when the
+    matroid has a loop."""
     if M._charpoly is None:
-        if M._tutte is not None:
-            sign = -1 if M.full_rank() % 2 else 1
-            slice_x = M._tutte.x_slice_at_y_zero()
-            M._charpoly = slice_x.compose_linear(1, -1).scale(sign)
-        else:
-            M._charpoly = UniPoly(_view_chi(M)((1 << M.n) - 1, M.closure_mask(0)))
+        M._charpoly = _view_chi(M)((1 << M.n) - 1, M.closure_mask(0))
     return M._charpoly
+
+
+def _char_poly_from_tutte(T: BiPoly, r: int) -> UniPoly:
+    """chi(t) = (-1)^r T(1 - t, 0)."""
+    return T.x_slice_at_y_zero().compose_linear(1, -1).scale(-1 if r % 2 else 1)
+
+
+def flat_minor_terms(M: Matroid) -> Callable[[Iterable[int]], tuple[UniPoly, int]]:
+    """A function taking a flat F of M to chi(M|F) and |mu(M/F)|.
+
+    M|F is the view (F, cl(empty)) and M/F the view (E - F, F); one chi memo
+    serves every flat passed to the returned function, and no minor is built.
+    """
+    chi = _view_chi(M)
+    ground = (1 << M.n) - 1
+    bottom = M.closure_mask(0)
+
+    def terms(F: Iterable[int]) -> tuple[UniPoly, int]:
+        mask = M.mask(F)
+        return chi(mask, bottom), abs(chi(ground ^ mask, mask).evaluate(0))
+
+    return terms
 
 
 def char_poly_flats(M: Matroid) -> UniPoly:
@@ -204,8 +198,10 @@ def poincare_poly(M: Matroid) -> UniPoly:
     """
     if M.loops():
         raise ValueError("Poincare polynomial undefined for matroids with loops")
-    chi = char_poly(M)
-    r = M.full_rank()
+    return _poincare_from_chi(char_poly(M), M.full_rank())
+
+
+def _poincare_from_chi(chi: UniPoly, r: int) -> UniPoly:
     coeffs = list(chi.coeffs) + [0] * (r + 1 - len(chi.coeffs))
     rev = [(-1) ** j * coeffs[r - j] for j in range(r + 1)]
     if any(c < 0 for c in rev):
@@ -236,11 +232,12 @@ class InvariantReport:
 
 def compute_invariants(M: Matroid) -> InvariantReport:
     T = tutte(M)
-    chi = char_poly(M)
-    poincare = poincare_poly(M) if M.is_loopless() else None
+    r = M.full_rank()
+    chi = _char_poly_from_tutte(T, r)
+    poincare = _poincare_from_chi(chi, r) if M.is_loopless() else None
     return InvariantReport(
         n=M.n,
-        rank=M.full_rank(),
+        rank=r,
         tutte=T,
         charpoly=chi,
         mobius=int(chi.evaluate(0)),

@@ -47,7 +47,6 @@ class Matroid:
         "_closure_cache",
         "_lattice",
         "_components",
-        "_tutte",
         "_charpoly",
     )
 
@@ -66,8 +65,7 @@ class Matroid:
         self._closure_cache: dict[int, int] = {}
         self._lattice = None
         self._components = None
-        # Final Tutte and characteristic polynomials, set by mldeg.invariants.
-        self._tutte = None
+        # Characteristic polynomial, set by mldeg.invariants.char_poly.
         self._charpoly = None
         if subspace is not None:
             if subspace.ambient_n != n:

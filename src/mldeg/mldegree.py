@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .invariants import _view_chi, char_poly, mobius_invariant
+from .invariants import char_poly, flat_minor_terms, mobius_invariant
 from .linalg import Subspace
 from .matroids import (
     Matroid,
@@ -41,12 +41,12 @@ def _as_matroid(source: MatroidLike) -> Matroid:
     return Matroid.from_subspace(source)
 
 
-def _count_from_chi(chi: tuple, r: int, d: int) -> int:
+def _count_from_chi(chi: UniPoly, r: int, d: int) -> int:
     """(-d)^r chi(1/d) = (-1)^r sum_k chi_k d^(r-k), for a rank-r chi."""
     value = 0
-    for c in chi:
+    for c in chi.coeffs:
         value = value * d + c
-    value *= d ** (r + 1 - len(chi))
+    value *= d ** (r - chi.degree())
     value = -value if r % 2 else value
     if value < 0:
         raise RuntimeError(
@@ -58,7 +58,7 @@ def _count_from_chi(chi: tuple, r: int, d: int) -> int:
 def rmld(M: MatroidLike) -> int:
     """Reciprocal ML degree: (-2)^r chi(1/2), zero when loops are present."""
     M = _as_matroid(M)
-    return _count_from_chi(char_poly(M).coeffs, M.full_rank(), 2)
+    return _count_from_chi(char_poly(M), M.full_rank(), 2)
 
 
 def mld(M: MatroidLike) -> int:
@@ -77,7 +77,7 @@ def score_count(M: MatroidLike, d: int) -> int:
         raise ValueError("exponent d must be nonnegative")
     if d == 0:
         return mld(M)
-    return _count_from_chi(char_poly(M).coeffs, M.full_rank(), d)
+    return _count_from_chi(char_poly(M), M.full_rank(), d)
 
 
 def score_count_dc(M: MatroidLike, d: int) -> int:
@@ -212,14 +212,10 @@ def verify_stratification(L: MatroidLike, d: int) -> StratificationReport:
     lhs = d ** r * mu_abs
     contributions = []
     rhs = 0
-    # M|F is the view (F, cl(empty) = empty) and M/F the view (E - F, F);
-    # one chi memo serves every flat.
-    chi = _view_chi(M)
-    ground = (1 << M.n) - 1
+    terms = flat_minor_terms(M)
     for F in flats(M).flats:
-        mask = M.mask(F)
-        count = _count_from_chi(chi(mask, 0), M.rank_mask(mask), d)
-        mu_c = abs(chi(ground ^ mask, mask)[0])
+        chi_F, mu_c = terms(F)
+        count = _count_from_chi(chi_F, M.rank(F), d)
         rhs += count * mu_c
         contributions.append(
             FlatContribution(flat=tuple(sorted(F)), count=count, mu_contract=mu_c)

@@ -2,9 +2,9 @@
 reference routes that build no views: the corank-nullity expansion, the
 flats/Moebius sum, and deletion-contraction on explicitly built minors.
 
-Each check runs on a fresh copy of its matroid, because the final
-polynomials are cached on the instance and a shared corpus entry may
-already carry them from another test.
+Each check runs on a fresh copy of its matroid, because chi is cached on
+the instance and a shared corpus entry may already carry it from another
+test.
 """
 
 import random
