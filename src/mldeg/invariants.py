@@ -177,8 +177,8 @@ def char_poly_flats(M: Matroid) -> UniPoly:
     lattice = flats(M)
     r = M.full_rank()
     coeffs = [0] * (r + 1)
-    for j, F in enumerate(lattice.flats):
-        coeffs[r - lattice.ranks[j]] += lattice.mobius[(0, j)]
+    for rk, mu in zip(lattice.ranks, lattice.mobius):
+        coeffs[r - rk] += mu
     return UniPoly(coeffs)
 
 

@@ -268,24 +268,20 @@ def contract_subspace(L: Subspace, I: Iterable[int]) -> tuple[Subspace, tuple[in
 
     Returns the contracted subspace viewed inside C^(complement of I), plus
     the surviving ambient indices in order.
+
+    In the rref of L with the I columns first, the rows zero on I span the
+    vectors of L vanishing on I and, with those columns dropped, are the
+    rref of the result.  When I is a prefix of 1..n the stored rref already
+    has that column order and no elimination runs.
     """
     drop = _check_index_set(I, L.ambient_n)
-    labels = tuple(i for i in range(1, L.ambient_n + 1) if i not in set(drop))
-    keep0 = [i - 1 for i in labels]
+    dropped = set(drop)
+    labels = tuple(i for i in range(1, L.ambient_n + 1) if i not in dropped)
     if not drop:
         return L, labels
-    if L.dim == 0:
-        return Subspace.zero(len(labels)), labels
-    # Coefficient vectors c with (c . B) zero on all dropped coordinates.
-    constraint = L.basis.column_submatrix([i - 1 for i in drop]).transpose()
-    coeffs = kernel(Subspace.from_matrix(constraint))
-    vectors = []
-    for crow in coeffs.basis.entries:
-        vec = [
-            sum((crow[k] * L.basis.entries[k][j] for k in range(L.dim)), Fraction(0))
-            for j in keep0
-        ]
-        vectors.append(vec)
-    if not vectors:
-        return Subspace.zero(len(labels)), labels
-    return Subspace.from_matrix(QMatrix.from_rows(vectors, cols=len(labels))), labels
+    k = len(drop)
+    B = L.basis
+    if drop[-1] != k:
+        B = rref(B.column_submatrix([i - 1 for i in drop + labels]))
+    grid = tuple(row[k:] for row in B.entries if not any(row[:k]))
+    return Subspace(len(labels), QMatrix(len(grid), len(labels), grid), len(grid)), labels

@@ -14,7 +14,9 @@ immutable.
 
 Minor operations relabel the surviving ground set by order-preserving
 compression and return the relabeling alongside: element k of the minor sat
-at ambient index labels[k-1].
+at ambient index labels[k-1].  An explicit minor filters the basis list.
+The flats are found by one walk up the ranks, and the lattice keeps only the
+Moebius values mu(bottom, F).
 """
 
 from __future__ import annotations
@@ -162,7 +164,9 @@ class Matroid:
         return self.rank_mask(self.mask(S))
 
     def full_rank(self) -> int:
-        return self.rank_mask((1 << self.n) - 1)
+        if self._subspace is not None:
+            return self._subspace.dim
+        return len(self._bases[0])
 
     def is_independent(self, S: Iterable[int]) -> bool:
         fs = self._subset(S)
@@ -173,7 +177,14 @@ class Matroid:
         return _elements_of(self.closure_mask(self.mask(S)))
 
     def loops(self) -> tuple[int, ...]:
-        return tuple(e for e in self.ground if self.rank({e}) == 0)
+        """Zero columns of a realization, or elements in no basis."""
+        if self._basis_masks is not None:
+            covered = 0
+            for b in self._basis_masks:
+                covered |= b
+            return tuple(e for e in self.ground if not covered >> (e - 1) & 1)
+        return tuple(j + 1 for j in range(self.n)
+                     if not any(row[j] for row in self._int_rows))
 
     def coloops(self) -> tuple[int, ...]:
         r = self.full_rank()
@@ -225,50 +236,48 @@ def uniform_matroid(n: int, r: int) -> Matroid:
 # -- minors ----------------------------------------------------------------
 
 
-def _compress_labels(keep: Sequence[int]) -> dict[int, int]:
-    return {old: new for new, old in enumerate(sorted(keep), start=1)}
+def _explicit_minor(keep: Sequence[int], traces: Iterable[int]) -> Matroid:
+    """Explicit matroid on the sorted elements `keep`, relabeled 1..|keep| in
+    order, whose bases are the masks in `traces`."""
+    relabel = {old: new for new, old in enumerate(keep, start=1)}
+    return Matroid.from_bases(len(keep), [
+        [relabel[e] for e in _elements_of(t)] for t in traces
+    ])
 
 
 def restrict(M: Matroid, F: Iterable[int]) -> tuple[Matroid, tuple[int, ...]]:
     """Restriction M|F on the relabeled ground set {1..|F|}.
 
     rank_{M|F}(S) = rank_M(S); returns (minor, surviving ambient labels).
+    An explicit minor's bases are the distinct traces B & F of size r(F).
     """
     keep = sorted(M._subset(F))
     labels = tuple(keep)
     if M.is_realized:
         sub, _ = restrict_subspace(M.subspace, keep)
         return Matroid.from_subspace(sub), labels
-    relabel = _compress_labels(keep)
-    r = M.rank(keep)
-    new_bases = [
-        frozenset(relabel[e] for e in S)
-        for S in combinations(keep, r)
-        if M.rank(S) == r
-    ]
-    return Matroid.from_bases(len(keep), new_bases), labels
+    mask = _mask_of(keep)
+    rk = M.rank_mask(mask)
+    traces = {b & mask for b in M._basis_masks if (b & mask).bit_count() == rk}
+    return _explicit_minor(keep, traces), labels
 
 
 def contract_set(M: Matroid, I: Iterable[int]) -> tuple[Matroid, tuple[int, ...]]:
     """Contraction M/I on the relabeled ground set {1..n-|I|}.
 
-    rank_{M/I}(S) = rank_M(S + I) - rank_M(I).
+    rank_{M/I}(S) = rank_M(S + I) - rank_M(I).  An explicit minor's bases
+    are the distinct sets B - I over the bases B with |B & I| = r(I).
     """
-    drop = sorted(M._subset(I))
-    keep = [e for e in M.ground if e not in set(drop)]
+    drop = M._subset(I)
+    keep = [e for e in M.ground if e not in drop]
     labels = tuple(keep)
     if M.is_realized:
         sub, _ = contract_subspace(M.subspace, drop)
         return Matroid.from_subspace(sub), labels
-    relabel = _compress_labels(keep)
-    rk_drop = M.rank(drop)
-    r = M.full_rank() - rk_drop
-    new_bases = [
-        frozenset(relabel[e] for e in S)
-        for S in combinations(keep, r)
-        if M.rank(set(S) | set(drop)) == rk_drop + r
-    ]
-    return Matroid.from_bases(len(keep), new_bases), labels
+    mask = _mask_of(drop)
+    rk = M.rank_mask(mask)
+    traces = {b & ~mask for b in M._basis_masks if (b & mask).bit_count() == rk}
+    return _explicit_minor(keep, traces), labels
 
 
 def delete(M: Matroid, e: int) -> tuple[Matroid, tuple[int, ...]]:
@@ -285,16 +294,17 @@ def contract(M: Matroid, e: int) -> tuple[Matroid, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class FlatLattice:
-    """All flats of a matroid with the Moebius function of the lattice.
+    """All flats of a matroid with the Moebius values mu(bottom, F).
 
     Flats are sorted by (rank, sorted elements); flat 0 is the bottom
     (closure of the empty set), the last flat is the full ground set.
-    mobius[(i, j)] = mu(F_i, F_j) for every pair with F_i contained in F_j.
+    mobius[j] = mu(F_0, F_j), the only row of the Moebius function that
+    chi and the stratification read.
     """
 
     flats: tuple[frozenset, ...]
     ranks: tuple[int, ...]
-    mobius: dict
+    mobius: tuple[int, ...]
 
     @property
     def bottom(self) -> frozenset:
@@ -311,81 +321,55 @@ class FlatLattice:
                 return i
         raise KeyError(f"{sorted(fs)} is not a flat")
 
-    def mu(self, F_small: Iterable[int], F_big: Iterable[int]) -> int:
-        return self.mobius[(self.index_of(F_small), self.index_of(F_big))]
-
     def mu_bottom(self, F: Iterable[int]) -> int:
-        return self.mobius[(0, self.index_of(F))]
+        return self.mobius[self.index_of(F)]
 
     def mobius_from_bottom(self) -> tuple[int, ...]:
-        return tuple(self.mobius[(0, j)] for j in range(len(self.flats)))
+        return self.mobius
 
     def to_json_dict(self) -> dict:
         return {
             "flats": [sorted(f) for f in self.flats],
-            "mobius_from_bottom": list(self.mobius_from_bottom()),
+            "mobius_from_bottom": list(self.mobius),
         }
 
 
-# All-subsets closure enumeration stays feasible through n = 16; past that
-# the lattice is grown rank by rank through single-element closures.
-_SUBSET_ENUM_LIMIT = 16
-
-
-def _flats_by_enumeration(M: Matroid) -> set[frozenset]:
-    found = set()
-    ground = M.ground
-    for k in range(M.n + 1):
-        for S in combinations(ground, k):
-            found.add(M.closure(S))
-    return found
-
-
-def _flats_by_extension(M: Matroid) -> set[frozenset]:
-    bottom = M.closure(())
-    found = {bottom}
-    level = {bottom}
-    while level:
-        nxt = set()
-        for F in level:
-            for e in M.ground:
-                if e not in F:
-                    G = M.closure(F | {e})
-                    if G not in found:
-                        nxt.add(G)
-        found |= nxt
-        level = nxt
-    return found
-
-
 def flats(M: Matroid) -> FlatLattice:
-    """The lattice of flats with all Moebius values mu(F', F).
+    """The lattice of flats with the Moebius values mu(bottom, F).
 
     The bottom flat is the closure of the empty set (the set of loops), so
-    the empty set is a flat exactly when the matroid is loopless.
+    the empty set is a flat exactly when the matroid is loopless.  The flats
+    of rank k + 1 are the closures of F + e over the flats F of rank k and
+    e outside F; mu(bottom, F) is minus the sum of mu(bottom, G) over the
+    flats G below F, all of smaller rank.
     """
     if M._lattice is not None:
         return M._lattice
-    raw = (_flats_by_enumeration(M) if M.n <= _SUBSET_ENUM_LIMIT
-           else _flats_by_extension(M))
-    ordered = sorted(raw, key=lambda f: (M.rank(f), sorted(f)))
-    ranks = tuple(M.rank(f) for f in ordered)
-    count = len(ordered)
-    # Containment table; proper subflats always have strictly smaller rank,
-    # so index order is a linear extension of the lattice order.
-    leq = [[(ordered[i] <= ordered[j]) for j in range(count)] for i in range(count)]
-    mobius: dict = {}
-    for i in range(count):
-        mobius[(i, i)] = 1
-        for j in range(i + 1, count):
-            if not leq[i][j]:
-                continue
-            total = 0
-            for k in range(i, j):
-                if leq[i][k] and leq[k][j]:
-                    total += mobius[(i, k)]
-            mobius[(i, j)] = -total
-    lattice = FlatLattice(tuple(ordered), ranks, mobius)
+    closure = M.closure_mask
+    ground = (1 << M.n) - 1
+    levels = [[closure(0)]]
+    while True:
+        found = set()
+        for F in levels[-1]:
+            rest = ground & ~F
+            while rest:
+                G = closure(F | (rest & -rest))
+                found.add(G)
+                rest &= ~G
+        if not found:
+            break
+        levels.append(sorted(found, key=lambda G: sorted(_elements_of(G))))
+    masks: list[int] = []
+    ranks: list[int] = []
+    mobius: list[int] = []
+    for k, level in enumerate(levels):
+        lower = list(zip(masks, mobius))
+        for F in level:
+            mobius.append(-sum(mu for G, mu in lower if G & F == G) if k else 1)
+        masks.extend(level)
+        ranks.extend([k] * len(level))
+    lattice = FlatLattice(tuple(_elements_of(F) for F in masks), tuple(ranks),
+                          tuple(mobius))
     M._lattice = lattice
     return lattice
 

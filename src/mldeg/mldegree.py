@@ -104,10 +104,11 @@ def score_count_dc(M: MatroidLike, d: int) -> int:
         if cached is not None:
             return cached
         contracted, _ = contract_set(N, {1})
-        if 1 in N.coloops():
+        without_1 = (1 << N.n) - 2
+        if N.rank_mask(without_1) < N.full_rank():  # 1 is a coloop
             value = (d - 1) * count(contracted)
         else:
-            deleted, _ = restrict(N, set(N.ground) - {1})
+            deleted, _ = restrict(N, range(2, N.n + 1))
             value = count(deleted) + d * count(contracted)
         memo[key] = value
         return value

@@ -522,14 +522,14 @@ def buchberger(source: PolySystem | Iterable[MPoly],
         lcm = tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
         return (sum(lcm), lcm)
 
-    pairs: dict[tuple[int, int], tuple] = {}
-    for j in range(len(terms)):
-        for i in range(j):
-            pairs[(i, j)] = pair_key(i, j)
-
-    while pairs:
-        (i, j) = min(pairs, key=lambda ij: (pairs[ij], ij))
-        del pairs[(i, j)]
+    # Pending pairs, as a heap in selection order and as a set for the
+    # chain criterion; a pair leaves both only when it is popped.
+    pairs = {(i, j) for j in range(len(terms)) for i in range(j)}
+    heap = [(pair_key(i, j), (i, j)) for i, j in pairs]
+    heapq.heapify(heap)
+    while heap:
+        _, (i, j) = heapq.heappop(heap)
+        pairs.remove((i, j))
         lmi, lmj = lms[i], lms[j]
         lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
         if all(a + b == c for a, b, c in zip(lmi, lmj, lcm)):
@@ -568,7 +568,8 @@ def buchberger(source: PolySystem | Iterable[MPoly],
         lcs.append(h[hlm])
         new = len(terms) - 1
         for k in range(new):
-            pairs[(k, new)] = pair_key(k, new)
+            pairs.add((k, new))
+            heapq.heappush(heap, (pair_key(k, new), (k, new)))
     final = [MPoly(num_vars, t) for t in terms]
     return GroebnerBasis(num_vars, _reduced_basis(final))
 
@@ -633,7 +634,13 @@ class OracleCaps:
         raw = os.environ.get("MLDEG_MAX_N")
         if raw is None:
             return cls()
-        return cls(max_n=int(raw))
+        try:
+            max_n = int(raw)
+        except ValueError:
+            max_n = 0
+        if max_n < 1:
+            raise ValueError(f"MLDEG_MAX_N must be a positive integer, got {raw!r}")
+        return cls(max_n=max_n)
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,16 @@ class TestOracle:
                            "--d", "2", "--seed", "1")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("raw", ["abc", "", "0", "-1"])
+    def test_bad_size_cap_is_a_usage_error(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("MLDEG_MAX_N", raw)
+        path = write_json(tmp_path, "m.json", GENERIC_2X3)
+        for argv in (["oracle", "--input", path, "--d", "2", "--seed", "7"],
+                     ["verify", "--input", path, "--d", "2"]):
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_USAGE
+            assert "MLDEG_MAX_N" in err and out == ""
+
 
 class TestUniform:
     def test_r3_n6(self, capsys):

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mldeg import (
     Matroid,
@@ -15,14 +17,13 @@ from mldeg import (
     delete,
     flats,
     is_partition_matroid,
+    kernel,
     matroid_from_json_dict,
     restrict,
     restrict_subspace,
     uniform_matroid,
 )
-from mldeg.matroids import _flats_by_enumeration, _flats_by_extension
-
-from conftest import corpus_upto, k4_matroid, random_matrix
+from conftest import corpus, corpus_upto, k4_matroid, random_matrix
 
 
 def mat(rows, cols=None):
@@ -51,6 +52,68 @@ def separator_components(M: Matroid):
                 comp &= A
         comps.add(frozenset(comp))
     return tuple(sorted(comps, key=sorted))
+
+
+# -- reference routes kept from earlier versions of mldeg.matroids/linalg ------
+
+
+def flats_by_enumeration(M: Matroid) -> set:
+    """Every flat as the closure of one of the 2^n subsets."""
+    return {M.closure(S) for S in powerset(M.ground)}
+
+
+def mobius_all_pairs(lattice) -> dict:
+    """mu(F_i, F_j) for every pair F_i <= F_j, from a full containment table.
+
+    Index order must be a linear extension of the lattice order.
+    """
+    fl = lattice.flats
+    count = len(fl)
+    leq = [[fl[i] <= fl[j] for j in range(count)] for i in range(count)]
+    mobius = {}
+    for i in range(count):
+        mobius[(i, i)] = 1
+        for j in range(i + 1, count):
+            if leq[i][j]:
+                mobius[(i, j)] = -sum(
+                    mobius[(i, k)] for k in range(i, j) if leq[i][k] and leq[k][j]
+                )
+    return mobius
+
+
+def contract_subspace_by_kernel(L: Subspace, I) -> Subspace:
+    """Vectors c . B of L with c in the kernel of the I columns of B."""
+    drop = sorted(set(I))
+    keep0 = [i - 1 for i in range(1, L.ambient_n + 1) if i not in drop]
+    if not drop:
+        return L
+    if L.dim == 0:
+        return Subspace.zero(len(keep0))
+    constraint = L.basis.column_submatrix([i - 1 for i in drop]).transpose()
+    coeffs = kernel(Subspace.from_matrix(constraint))
+    vectors = [
+        [sum((c[k] * L.basis.entries[k][j] for k in range(L.dim)), Fraction(0))
+         for j in keep0]
+        for c in coeffs.basis.entries
+    ]
+    if not vectors:
+        return Subspace.zero(len(keep0))
+    return Subspace.from_matrix(QMatrix.from_rows(vectors, cols=len(keep0)))
+
+
+def explicit_minor_by_combinations(M: Matroid, keep, I) -> Matroid:
+    """Bases of M|(keep + I)/I: the r-subsets S of keep with r(S + I) = r + r(I)."""
+    relabel = {old: new for new, old in enumerate(sorted(keep), start=1)}
+    rk_I = M.rank(I)
+    r = M.rank(set(keep) | set(I)) - rk_I
+    return Matroid.from_bases(len(keep), [
+        {relabel[e] for e in S} for S in combinations(sorted(keep), r)
+        if M.rank(set(S) | set(I)) == r + rk_I
+    ])
+
+
+def explicit(M: Matroid) -> Matroid:
+    return Matroid.from_bases(M.n, M.bases())
 
 
 class TestConstruction:
@@ -120,6 +183,14 @@ class TestClosure:
             assert M.closure(once) == once
 
 
+def check_against_enumeration(M: Matroid) -> None:
+    lat = flats(M)
+    assert len(set(lat.flats)) == len(lat.flats)
+    assert set(lat.flats) == flats_by_enumeration(M)
+    assert lat.ranks == tuple(M.rank(F) for F in lat.flats)
+    assert list(lat.flats) == sorted(lat.flats, key=lambda F: (M.rank(F), sorted(F)))
+
+
 class TestFlats:
     def test_u23_lattice(self):
         lat = flats(uniform_matroid(3, 2))
@@ -145,18 +216,14 @@ class TestFlats:
         assert flats(clean).bottom == frozenset()
 
     def test_mobius_sum_rule(self):
+        # The stored row mu(bottom, .) is row 0 of the all-pairs table.
         for M in corpus_upto(7)[:50]:
             lat = flats(M)
-            for i in range(len(lat.flats)):
-                for j in range(i + 1, len(lat.flats)):
-                    if (i, j) not in lat.mobius:
-                        continue
-                    total = sum(
-                        lat.mobius[(i, k)]
-                        for k in range(i, j + 1)
-                        if (i, k) in lat.mobius and (k, j) in lat.mobius
-                    )
-                    assert total == 0
+            table = mobius_all_pairs(lat)
+            row = tuple(table[(0, j)] for j in range(len(lat.flats)))
+            assert lat.mobius_from_bottom() == row
+            if M.is_loopless():
+                assert lat.mu_bottom(lat.top) == char_poly(M).evaluate(0)
 
     def test_bottom_mobius_matches_charpoly_at_zero(self):
         for M in corpus_upto(7, loopless=True)[:40]:
@@ -164,8 +231,13 @@ class TestFlats:
             assert lat.mu_bottom(lat.top) == char_poly(M).evaluate(0)
 
     def test_enumeration_paths_agree(self):
-        for M in corpus_upto(7)[:40]:
-            assert _flats_by_enumeration(M) == _flats_by_extension(M)
+        for M in corpus_upto(7):
+            check_against_enumeration(M)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9), r=st.integers(1, 4))
+    def test_random_matrices_match_enumeration(self, seed, n, r):
+        rng = random.Random(seed)
+        check_against_enumeration(Matroid.from_matrix(random_matrix(rng, n, min(n, r))))
 
     def test_json_export(self):
         data = flats(uniform_matroid(3, 2)).to_json_dict()
@@ -237,6 +309,56 @@ class TestMinors:
         assert r1.bases() == r2.bases()
 
 
+class TestMinorReferences:
+    """Every minor equals, as a labeled matroid, the one the earlier
+    constructions built, so memo keys built from cache_key() still hit."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9), r=st.integers(1, 4))
+    def test_contract_subspace_matches_kernel_route(self, seed, n, r):
+        rng = random.Random(seed)
+        L = Subspace.from_matrix(random_matrix(rng, n, min(n, r)))
+        for _ in range(6):
+            I = {e for e in range(1, n + 1) if rng.random() < 0.4}
+            fast, _ = contract_subspace(L, I)
+            reference = contract_subspace_by_kernel(L, I)
+            assert fast == reference
+            assert (Matroid.from_subspace(fast).cache_key()
+                    == Matroid.from_subspace(reference).cache_key())
+
+    def test_prefix_contraction_reads_the_stored_rref(self):
+        L = Subspace.from_matrix(random_matrix(random.Random(5), 7, 3))
+        for k in range(8):
+            fast, labels = contract_subspace(L, range(1, k + 1))
+            assert labels == tuple(range(k + 1, 8))
+            assert fast == contract_subspace_by_kernel(L, range(1, k + 1))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), r=st.integers(1, 4))
+    def test_explicit_minors_match_combinations(self, seed, n, r):
+        rng = random.Random(seed)
+        M = explicit(Matroid.from_matrix(random_matrix(rng, n, min(n, r))))
+        for _ in range(4):
+            F = {e for e in M.ground if rng.random() < 0.6}
+            I = {e for e in M.ground if rng.random() < 0.3}
+            minor, _ = restrict(M, F)
+            assert minor.cache_key() == explicit_minor_by_combinations(M, F, set()).cache_key()
+            minor, _ = contract_set(M, I)
+            keep = set(M.ground) - I
+            assert minor.cache_key() == explicit_minor_by_combinations(M, keep, I).cache_key()
+
+    def test_explicit_corpus_minors_match_combinations(self):
+        rng = random.Random(17)
+        for M in corpus_upto(8):
+            if M.is_realized:
+                continue
+            for _ in range(5):
+                F = {e for e in M.ground if rng.random() < 0.6}
+                minor, _ = restrict(M, F)
+                assert minor.cache_key() == explicit_minor_by_combinations(M, F, set()).cache_key()
+                minor, _ = contract_set(M, F)
+                keep = set(M.ground) - F
+                assert minor.cache_key() == explicit_minor_by_combinations(M, keep, F).cache_key()
+
+
 class TestLoopsColoops:
     def test_boolean_all_coloops(self):
         M = uniform_matroid(4, 4)
@@ -249,6 +371,11 @@ class TestLoopsColoops:
     def test_u23_has_neither(self):
         M = uniform_matroid(3, 2)
         assert M.loops() == () and M.coloops() == ()
+
+    def test_loops_and_full_rank_match_rank_queries(self):
+        for M in corpus():
+            assert M.loops() == tuple(e for e in M.ground if M.rank({e}) == 0)
+            assert M.full_rank() == M.rank(M.ground)
 
 
 class TestConnectivity:
