@@ -299,7 +299,7 @@ class FlatLattice:
     Flats are sorted by (rank, sorted elements); flat 0 is the bottom
     (closure of the empty set), the last flat is the full ground set.
     mobius[j] = mu(F_0, F_j), the only row of the Moebius function that
-    chi and the stratification read.
+    char_poly_flats and the JSON export read.
     """
 
     flats: tuple[frozenset, ...]

@@ -23,7 +23,7 @@ from mldeg import (
     restrict_subspace,
     uniform_matroid,
 )
-from conftest import corpus, corpus_upto, k4_matroid, random_matrix
+from conftest import _explicit_copy, corpus, corpus_upto, k4_matroid, random_matrix
 
 
 def mat(rows, cols=None):
@@ -54,7 +54,7 @@ def separator_components(M: Matroid):
     return tuple(sorted(comps, key=sorted))
 
 
-# -- reference routes kept from earlier versions of mldeg.matroids/linalg ------
+# -- reference routes: slower constructions that the tests compare against ----
 
 
 def flats_by_enumeration(M: Matroid) -> set:
@@ -110,10 +110,6 @@ def explicit_minor_by_combinations(M: Matroid, keep, I) -> Matroid:
         {relabel[e] for e in S} for S in combinations(sorted(keep), r)
         if M.rank(set(S) | set(I)) == r + rk_I
     ])
-
-
-def explicit(M: Matroid) -> Matroid:
-    return Matroid.from_bases(M.n, M.bases())
 
 
 class TestConstruction:
@@ -335,7 +331,7 @@ class TestMinorReferences:
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), r=st.integers(1, 4))
     def test_explicit_minors_match_combinations(self, seed, n, r):
         rng = random.Random(seed)
-        M = explicit(Matroid.from_matrix(random_matrix(rng, n, min(n, r))))
+        M = _explicit_copy(Matroid.from_matrix(random_matrix(rng, n, min(n, r))))
         for _ in range(4):
             F = {e for e in M.ground if rng.random() < 0.6}
             I = {e for e in M.ground if rng.random() < 0.3}
