@@ -79,6 +79,9 @@ class QMatrix:
             entries = data["entries"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"matrix JSON missing field: {exc}") from exc
+        if not isinstance(entries, list) or not all(
+                isinstance(row, list) for row in entries):
+            raise ValueError("matrix JSON 'entries' must be a list of rows")
         grid = tuple(tuple(parse_rational(e) for e in row) for row in entries)
         m = cls(rows, cols, grid)
         return m

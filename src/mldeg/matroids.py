@@ -441,7 +441,14 @@ def matroid_from_json_dict(data: dict) -> Matroid:
             n = int(data["n"])
         except (KeyError, TypeError) as exc:
             raise ValueError("explicit matroid JSON needs an integer 'n'") from exc
-        return Matroid.from_bases(n, data["bases"])
+        bases = data["bases"]
+        # int() would read 1.7 or true as element 1 and fail on null with a
+        # TypeError, so the element types are checked here, once per input.
+        if not isinstance(bases, list) or not all(
+                isinstance(b, list) and all(type(e) is int for e in b)
+                for b in bases):
+            raise ValueError("'bases' must be a list of lists of integers")
+        return Matroid.from_bases(n, bases)
     if "entries" in data:
         return Matroid.from_matrix(QMatrix.from_json_dict(data))
     raise ValueError("matroid JSON needs 'matrix', 'bases', or matrix fields")

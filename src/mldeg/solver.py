@@ -24,6 +24,11 @@ lexicographic order with variable precedence x_1 < ... < x_n < t_1 < ... <
 t_r, the coprimality and chain criteria, content-normalized intermediate
 polynomials, and hard resource caps (Buchberger is doubly exponential in
 the worst case; the caps turn runaway inputs into a clean error).
+
+Reduction runs on integers.  Fractions appear only in `MPoly` input and
+output: each polynomial is cleared of denominators on entry, and one
+fraction-free loop (`_reduce`) serves S-polynomial reduction, the final
+interreduction and `GroebnerBasis.normal_form`.
 """
 
 from __future__ import annotations
@@ -77,7 +82,8 @@ class MPoly:
     """Sparse multivariate polynomial over Q in a fixed number of variables.
 
     The term dict is never mutated after construction, so the lead monomial
-    can be cached.
+    can be cached.  Every exponent must be a tuple of num_vars nonnegative
+    integers; anything else is a ValueError.
     """
 
     __slots__ = ("num_vars", "terms", "_lm")
@@ -87,51 +93,18 @@ class MPoly:
         clean: dict[Exponent, Fraction] = {}
         if terms:
             for e, c in terms.items():
+                e = tuple(e)
+                if len(e) != num_vars or any(a < 0 for a in e):
+                    raise ValueError(
+                        f"exponent {e} is not {num_vars} nonnegative integers")
                 c = Fraction(c)
                 if c:
-                    clean[tuple(e)] = c
+                    clean[e] = c
         self.terms = clean
         self._lm = None
 
-    @classmethod
-    def constant(cls, num_vars: int, c) -> "MPoly":
-        return cls(num_vars, {(0,) * num_vars: Fraction(c)})
-
-    @classmethod
-    def variable(cls, num_vars: int, idx: int) -> "MPoly":
-        e = [0] * num_vars
-        e[idx] = 1
-        return cls(num_vars, {tuple(e): Fraction(1)})
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other: "MPoly") -> "MPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MPoly(self.num_vars, out)
-
-    def __sub__(self, other: "MPoly") -> "MPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
-        return MPoly(self.num_vars, out)
-
-    def __neg__(self) -> "MPoly":
-        return MPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other: "MPoly") -> "MPoly":
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return MPoly(self.num_vars, out)
-
-    def scale(self, c) -> "MPoly":
-        c = Fraction(c)
-        return MPoly(self.num_vars, {e: c * q for e, q in self.terms.items()})
 
     def lead_monomial(self) -> Exponent:
         if self._lm is None:
@@ -140,9 +113,6 @@ class MPoly:
 
     def lead_coefficient(self) -> Fraction:
         return self.terms[self.lead_monomial()]
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MPoly) and self.num_vars == other.num_vars
@@ -276,116 +246,48 @@ class SolverLimits:
     max_total_degree: int = 80
 
 
-def _monic(p: MPoly) -> MPoly:
-    return p.scale(1 / p.lead_coefficient())
+def _integral(p: MPoly) -> tuple[dict[Exponent, int], int]:
+    """p times the lcm of its denominators, and that lcm."""
+    den = 1
+    for c in p.terms.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    return {e: int(c * den) for e, c in p.terms.items()}, den
+
+
+def _primitive(t: dict[Exponent, int], lc: int) -> dict[Exponent, int]:
+    """Divide out the content, signed like the lead coefficient lc."""
+    content = 0
+    for c in t.values():
+        content = gcd(content, c)
+    if lc < 0:
+        content = -content
+    return t if content == 1 else {e: c // content for e, c in t.items()}
 
 
 def _int_terms(p: MPoly) -> dict[Exponent, int]:
     """Clear denominators and the content; lead coefficient made positive."""
     if p.is_zero():
         return {}
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    out = {e: int(c * den) for e, c in p.terms.items()}
-    content = 0
-    for c in out.values():
-        content = gcd(content, c)
-    if out[max(out, key=_order_key)] < 0:
-        content = -content
-    if content != 1:
-        for e in out:
-            out[e] //= content
-    return out
+    t, _ = _integral(p)
+    return _primitive(t, t[p.lead_monomial()])
 
 
-def _ff_reduce(pterms: dict[Exponent, int],
-               lms: Sequence[Exponent],
-               lcs: Sequence[int],
-               tails: Sequence[dict]) -> dict[Exponent, int]:
-    """Pseudo-remainder of an integer polynomial against integer divisors.
+def _reduce(terms: dict[Exponent, int],
+            lms: Sequence[Exponent],
+            lcs: Sequence[int],
+            tails: Sequence[dict]) -> tuple[dict[Exponent, int], int]:
+    """Full remainder of an integer polynomial against integer divisors.
 
     Fraction-free: the working polynomial is rescaled by divisor leads as
-    needed, so the result is a positive multiple of the true remainder;
-    callers renormalize the content.  A lazy max-heap tracks the current
-    lead (stale entries are skipped on pop).
+    needed, so the result is (remainder, scale) with remainder equal to
+    scale times the true remainder and scale > 0.  A lazy max-heap tracks
+    the current lead (stale entries are skipped on pop).
     """
-    work = dict(pterms)
+    work = dict(terms)
     heap = [(-sum(e), e) for e in work]
     heapq.heapify(heap)
     remainder: dict[Exponent, int] = {}
-    ngen = len(lms)
-    while heap:
-        _, lead = heapq.heappop(heap)
-        coeff = work.get(lead)
-        if not coeff:
-            continue
-        for gi in range(ngen):
-            glm = lms[gi]
-            if _divides(glm, lead):
-                glc = lcs[gi]
-                g0 = gcd(coeff, glc)
-                mult = abs(glc) // g0
-                if glc < 0:
-                    g0 = -g0
-                factor = coeff // g0
-                if mult != 1:
-                    for key in work:
-                        work[key] *= mult
-                    for key in remainder:
-                        remainder[key] *= mult
-                shift = tuple(a - b for a, b in zip(lead, glm))
-                for ge, gc in tails[gi].items():
-                    key = tuple(a + b for a, b in zip(ge, shift))
-                    old = work.get(key)
-                    if old is None:
-                        val = -factor * gc
-                        if val:
-                            work[key] = val
-                            heapq.heappush(heap, (-sum(key), key))
-                    else:
-                        val = old - factor * gc
-                        if val:
-                            work[key] = val
-                        else:
-                            del work[key]
-                break
-        else:
-            remainder[lead] = coeff
-            del work[lead]
-    content = 0
-    for c in remainder.values():
-        content = gcd(content, c)
-    if content > 1:
-        for e in remainder:
-            remainder[e] //= content
-    return remainder
-
-
-def _normal_form(p: MPoly, basis: Sequence[MPoly]) -> MPoly:
-    """Full multivariate division remainder of p against the basis.
-
-    Exact: the remainder is the true normal form with rational
-    coefficients (internally the reduction is fraction-free and only the
-    final rescaling divides).
-    """
-    if p.is_zero() or not basis:
-        return p
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    work = {e: int(c * den) for e, c in p.terms.items()}
-    lms, lcs, tails = [], [], []
-    for g in basis:
-        gt = _int_terms(g)
-        lm = max(gt, key=_order_key)
-        lms.append(lm)
-        lcs.append(gt[lm])
-        tails.append(gt)
-    heap = [(-sum(e), e) for e in work]
-    heapq.heapify(heap)
-    remainder: dict[Exponent, int] = {}
-    scale = den  # remainder-so-far = scale * (true remainder)
+    scale = 1
     while heap:
         _, lead = heapq.heappop(heap)
         coeff = work.get(lead)
@@ -424,8 +326,7 @@ def _normal_form(p: MPoly, basis: Sequence[MPoly]) -> MPoly:
         else:
             remainder[lead] = coeff
             del work[lead]
-    inv = Fraction(1, scale)
-    return MPoly(p.num_vars, {e: c * inv for e, c in remainder.items()})
+    return remainder, scale
 
 
 def _int_s_poly(ft: dict, flm: Exponent, flc: int,
@@ -463,31 +364,50 @@ class GroebnerBasis:
 
     num_vars: int
     generators: tuple[MPoly, ...]
-    order: str = "grevlex"
 
     def normal_form(self, p: MPoly) -> MPoly:
-        return _normal_form(p, self.generators)
+        """Full multivariate division remainder of p against the basis.
+
+        Exact: the reduction runs on integers and the final rescaling
+        divides once.
+        """
+        if p.num_vars != self.num_vars:
+            raise ValueError(f"polynomial in {p.num_vars} variables, "
+                             f"basis in {self.num_vars}")
+        if p.is_zero() or not self.generators:
+            return p
+        work, den = _integral(p)
+        tails = [_int_terms(g) for g in self.generators]
+        lms = self.lead_monomials()
+        lcs = [t[lm] for t, lm in zip(tails, lms)]
+        remainder, scale = _reduce(work, lms, lcs, tails)
+        inv = Fraction(1, scale * den)
+        return MPoly(p.num_vars, {e: c * inv for e, c in remainder.items()})
 
     def lead_monomials(self) -> tuple[Exponent, ...]:
         return tuple(g.lead_monomial() for g in self.generators)
 
 
-def _reduced_basis(gens: list[MPoly]) -> tuple[MPoly, ...]:
-    ordered = sorted(
-        (g for g in gens if not g.is_zero()),
-        key=lambda g: _order_key(g.lead_monomial()),
-    )
-    minimal: list[MPoly] = []
-    for g in ordered:
-        lm = g.lead_monomial()
-        if not any(_divides(h.lead_monomial(), lm) for h in minimal):
-            minimal.append(g)
+def _reduced_basis(num_vars: int, terms: list[dict], lms: list[Exponent],
+                   lcs: list[int]) -> tuple[MPoly, ...]:
+    """Minimal basis by lead divisibility, each member reduced by the others
+    on its integer terms; monic MPolys are built once, at the end.
+
+    The minimal basis is taken in increasing lead order and reduction keeps
+    every lead, so the result is already sorted; dividing by the lead
+    coefficient cancels the scale of each remainder.
+    """
+    keep: list[int] = []
+    for i in sorted(range(len(terms)), key=lambda i: _order_key(lms[i])):
+        if not any(_divides(lms[k], lms[i]) for k in keep):
+            keep.append(i)
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        h = _normal_form(g, others) if others else g
-        reduced.append(_monic(h))
-    reduced.sort(key=lambda g: _order_key(g.lead_monomial()))
+    for pos, i in enumerate(keep):
+        others = keep[:pos] + keep[pos + 1:]
+        h, _ = _reduce(terms[i], [lms[k] for k in others],
+                       [lcs[k] for k in others], [terms[k] for k in others])
+        lc = h[lms[i]]
+        reduced.append(MPoly(num_vars, {e: Fraction(c, lc) for e, c in h.items()}))
     return tuple(reduced)
 
 
@@ -499,19 +419,22 @@ def buchberger(source: PolySystem | Iterable[MPoly],
     degree, then lexicographic exponent comparison).  Pairs with coprime
     lead monomials are skipped, as are pairs eliminated by the chain
     criterion.  Exceeding the caps raises CapacityError with diagnostics.
+    All inputs must share one number of variables (ValueError otherwise).
     """
     limits = limits or SolverLimits()
     polys = source.equations if isinstance(source, PolySystem) else tuple(source)
     if not polys:
         raise ValueError("cannot take a Groebner basis of an empty system")
     num_vars = polys[0].num_vars
+    if any(p.num_vars != num_vars for p in polys):
+        raise ValueError("all polynomials must have the same number of variables")
     terms: list[dict] = []      # primitive integer term dicts
     lms: list[Exponent] = []
     lcs: list[int] = []
     for p in polys:
         t = _int_terms(p)
         if t:
-            lm = max(t, key=_order_key)
+            lm = p.lead_monomial()
             terms.append(t)
             lms.append(lm)
             lcs.append(t[lm])
@@ -547,7 +470,7 @@ def buchberger(source: PolySystem | Iterable[MPoly],
         if skip:
             continue
         s = _int_s_poly(terms[i], lmi, lcs[i], terms[j], lmj, lcs[j])
-        h = _ff_reduce(s, lms, lcs, terms)
+        h, _ = _reduce(s, lms, lcs, terms)
         if not h:
             continue
         hlm = max(h, key=_order_key)
@@ -561,8 +484,7 @@ def buchberger(source: PolySystem | Iterable[MPoly],
                 f"basis size exceeds cap {limits.max_basis_size} "
                 f"(pending pairs {len(pairs)})"
             )
-        if h[hlm] < 0:
-            h = {e: -c for e, c in h.items()}
+        h = _primitive(h, h[hlm])
         terms.append(h)
         lms.append(hlm)
         lcs.append(h[hlm])
@@ -570,8 +492,7 @@ def buchberger(source: PolySystem | Iterable[MPoly],
         for k in range(new):
             pairs.add((k, new))
             heapq.heappush(heap, (pair_key(k, new), (k, new)))
-    final = [MPoly(num_vars, t) for t in terms]
-    return GroebnerBasis(num_vars, _reduced_basis(final))
+    return GroebnerBasis(num_vars, _reduced_basis(num_vars, terms, lms, lcs))
 
 
 # -- counting -----------------------------------------------------------------

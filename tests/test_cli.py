@@ -100,6 +100,20 @@ class TestScoreCountAndRmld:
         data = json.loads(out)
         assert code == EXIT_OK and data["value"] == "10"
 
+    @pytest.mark.parametrize("payload", [
+        {"rows": 1, "cols": 1, "entries": 5},
+        {"rows": 1, "cols": 2, "entries": [5]},
+        {"n": 3, "bases": 5},
+        {"n": 3, "bases": [[1, None]]},
+        {"n": 3, "bases": [[1.7, 2]]},
+        {"n": 3, "bases": [[True, 2]]},
+    ])
+    def test_malformed_json_is_a_usage_error(self, tmp_path, capsys, payload):
+        path = write_json(tmp_path, "m.json", payload)
+        code, out, err = run(capsys, "rmld", "--input", path)
+        assert code == EXIT_USAGE
+        assert "error: bad input" in err and out == ""
+
 
 class TestVerify:
     def test_all_pass_on_u23(self, tmp_path, capsys):

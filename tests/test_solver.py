@@ -27,34 +27,42 @@ def subspace(rows, cols=None):
     return Subspace.from_matrix(QMatrix.from_rows(rows, cols=cols))
 
 
+def sympy_expr(p: MPoly, syms):
+    """p as a sympy expression in syms (one symbol per variable, in order)."""
+    expr = sp.Integer(0)
+    for e, c in p.terms.items():
+        term = sp.Rational(c.numerator, c.denominator)
+        for k, exp in enumerate(e):
+            if exp:
+                term *= syms[k] ** exp
+        expr += term
+    return expr
+
+
+def term_dict(poly) -> dict:
+    """A sympy Poly over the reversed generators as exponent->Fraction."""
+    terms = {}
+    for monom, coeff in poly.terms():
+        exps = tuple(reversed(monom))
+        terms[exps] = Fraction(sp.Rational(coeff).p, sp.Rational(coeff).q)
+    return terms
+
+
 def sympy_reduced_groebner(system):
     """Independent route: sympy's Groebner engine on the same system.
 
     Returns the reduced monic basis as a set of exponent->coefficient
     dicts in this package's variable layout.
     """
-    m = system.num_vars
     names = variable_names(system.n, system.r)
     syms = sp.symbols(names)
     # sympy lists generators in decreasing precedence; ours increases.
     gens = list(reversed(syms))
-    exprs = []
-    for eq in system.equations:
-        expr = sp.Integer(0)
-        for e, c in eq.terms.items():
-            term = sp.Rational(c.numerator, c.denominator)
-            for k, exp in enumerate(e):
-                if exp:
-                    term *= syms[k] ** exp
-            expr += term
-        exprs.append(expr)
+    exprs = [sympy_expr(eq, syms) for eq in system.equations]
     basis = sp.groebner(exprs, *gens, order="grevlex")
     out = []
     for poly in basis.polys:
-        terms = {}
-        for monom, coeff in poly.terms():
-            exps = tuple(reversed(monom))
-            terms[exps] = Fraction(sp.Rational(coeff).p, sp.Rational(coeff).q)
+        terms = term_dict(poly)
         lead = max(terms, key=_order_key)
         lc = terms[lead]
         out.append({e: c / lc for e, c in terms.items()})
@@ -119,6 +127,16 @@ class TestRandomS:
             random_generic_s(3, 1, bound=10)
 
 
+class TestMPoly:
+    def test_wrong_exponent_length_rejected(self):
+        with pytest.raises(ValueError):
+            MPoly(2, {(1,): 1})
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            MPoly(2, {(-1, 0): 1})
+
+
 class TestBuchberger:
     def test_hand_example(self):
         system = build_score_system(subspace([[1]]), [3], 2)
@@ -173,6 +191,34 @@ class TestBuchberger:
                     )
         for eq in system.equations:
             assert gb.normal_form(eq).is_zero()
+
+    def test_normal_form_of_non_member_matches_sympy(self):
+        # a nonzero remainder with Fraction coefficients checks the scale
+        # that the fraction-free reduction carries to the final division
+        L = subspace([[1, 0, 1], [0, 1, 1]])
+        system = build_score_system(L, random_generic_s(3, 5), 2)
+        gb = buchberger(system)
+        p = MPoly(5, {(3, 0, 0, 0, 1): Fraction(2, 3), (0, 1, 1, 0, 0): 1,
+                      (1, 0, 0, 2, 0): Fraction(-5, 7), (0, 0, 0, 0, 0): Fraction(1, 2)})
+        nf = gb.normal_form(p)
+        assert not nf.is_zero()
+        syms = sp.symbols(variable_names(3, 2))
+        gens = list(reversed(syms))
+        _, rem = sp.reduced(sympy_expr(p, syms),
+                            [sympy_expr(g, syms) for g in gb.generators],
+                            *gens, order="grevlex")
+        assert nf.terms == term_dict(sp.Poly(rem, *gens))
+
+    def test_normal_form_rejects_other_num_vars(self):
+        gb = buchberger([MPoly(2, {(1, 0): 1, (0, 0): -1})])
+        with pytest.raises(ValueError):
+            gb.normal_form(MPoly(3, {(1, 0, 0): 1}))
+
+    def test_mixed_num_vars_rejected(self):
+        from mldeg import SolverLimits
+        polys = [MPoly(2, {(1, 0): 1}), MPoly(3, {(0, 0, 1): 1, (0, 0, 0): 1})]
+        with pytest.raises(ValueError):
+            buchberger(polys, SolverLimits(max_basis_size=50))
 
     def test_capacity_cap_fires(self):
         from mldeg import SolverLimits
