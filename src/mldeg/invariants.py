@@ -4,8 +4,7 @@ Production routes run deletion-contraction on views of the input matroid
 rather than on minors built one by one.  A view is a pair (R, C) of
 bitmasks: R the remaining elements, C the flat spanned by the contracted
 ones.  Because rank_{M\\A/B}(S) = r(S + cl B) - r(cl B), the view fixes the
-labelled minor, so it serves as its memo key, and every rank query goes to
-the one mask-keyed rank oracle of the input.
+labelled minor, so it serves as its memo key.
 
   tutte      batches loops into a factor y and coloops into a factor x, then
              branches on the smallest remaining element;
@@ -13,6 +12,30 @@ the one mask-keyed rank oracle of the input.
              coloop, chi(M\\e) - chi(M/e) otherwise.  When e has a parallel
              partner, M/e has a loop, so chi(M) = chi(M\\e) and e is dropped
              before the view is memoized.
+
+Besides its key, each view carries a state down the recursion, and a small
+oracle answers what the recursions ask of a view: cl(C + S) with the state
+that goes with it, which elements have a parallel partner in R, whether e
+is a coloop, and the coloops of R.
+
+  _MaskViews  the state is empty, and every answer is a rank_mask or
+              closure_mask query of the input on the whole ground set.
+              This is the only route for explicit input and the reference
+              the tests compare the row route with.
+  _RowViews   for realized input, the state is the integer rows of the
+              input projected modulo span(C), each divided by its content:
+              r - rk(C) rows over all n columns, whose zero columns are
+              exactly C.  Deleting e keeps the rows.  Contracting e is one
+              fraction-free pivot step on column e, and cl(C + e) is C plus
+              the columns that step zeroes.  Elements of R are parallel when
+              their columns are multiples of each other, and coloops come
+              from one small elimination of the rows restricted to R.  So
+              tutte and char_poly make no rank or closure query of the
+              input, they leave its mask caches empty, and the rows in
+              flight take recursion depth x r x n integers.
+
+flat_minor_terms always asks the mask oracle: it runs after the walk up
+the lattice of flats, which has already cached every closure it needs.
 
 Each memo table lives for one top-level call; only the final chi is kept,
 on the Matroid instance.  The corank-nullity expansion over all subsets is
@@ -26,8 +49,121 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from .linalg import _bareiss_echelon, _pivot
 from .matroids import Matroid, flats
 from .ratpoly import BiPoly, UniPoly
+
+
+def _indices(mask: int) -> list[int]:
+    """0-based positions of the set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class _MaskViews:
+    """View oracle on the mask rank oracle of M (explicit input, reference)."""
+
+    def __init__(self, M: Matroid):
+        self.rank, self.closure = M.rank_mask, M.closure_mask
+
+    def start(self) -> tuple[int, None]:
+        return self.closure(0), None
+
+    def contract(self, C: int, state: None, S: int) -> tuple[int, None]:
+        return self.closure(C | S), None
+
+    def drop_parallel(self, R: int, C: int, state: None) -> int:
+        closure = self.closure
+        while R:
+            e = R & -R
+            if not (closure(C | e) & R) ^ e:
+                break
+            R ^= e
+        return R
+
+    def is_coloop(self, R: int, C: int, state: None, e: int) -> bool:
+        return self.rank((R ^ e) | C) < self.rank(R | C)
+
+    def coloops(self, R: int, C: int, state: None) -> int:
+        full = self.rank(R | C)
+        coloops = 0
+        for j in _indices(R):
+            if self.rank((R | C) ^ (1 << j)) < full:
+                coloops |= 1 << j
+        return coloops
+
+
+class _RowViews:
+    """View oracle on the integer rows of a realized M modulo span(C)."""
+
+    def __init__(self, M: Matroid):
+        self.ground = (1 << M.n) - 1
+        # Already primitive: each is an rref row times its denominators' lcm.
+        self.rows = M._int_rows
+
+    def start(self) -> tuple[int, list[list[int]]]:
+        return self.contract(0, self.rows, 0)
+
+    def contract(self, C: int, rows: list[list[int]], S: int
+                 ) -> tuple[int, list[list[int]]]:
+        """cl(C + S) and the rows modulo its span: a pivot step on each
+        column of S still nonzero, then C grows by the zero columns."""
+        for j in _indices(S & ~C):
+            rows = _pivot(rows, j)
+        if not rows:
+            return self.ground, rows
+        for j, column in enumerate(zip(*rows)):
+            if not any(column):
+                C |= 1 << j
+        return C, rows
+
+    def drop_parallel(self, R: int, C: int, rows: list[list[int]]) -> int:
+        # f is parallel to e when column f is a multiple of column e; the
+        # loop stops at the first e with no such f left in R.
+        columns = list(zip(*rows))
+        while R:
+            e = R & -R
+            ce = columns[e.bit_length() - 1]
+            p = next(i for i, a in enumerate(ce) if a)
+            a = ce[p]
+            for j in _indices(R ^ e):
+                cf = columns[j]
+                b = cf[p]
+                if b and all(x * b == y * a for x, y in zip(ce, cf)):
+                    break
+            else:
+                break
+            R ^= e
+        return R
+
+    def is_coloop(self, R: int, C: int, rows: list[list[int]], e: int) -> bool:
+        # With column e last, e is a coloop of R exactly when it pivots.
+        cols = _indices(R ^ e) + [e.bit_length() - 1]
+        _, piv = _bareiss_echelon([[row[j] for j in cols] for row in rows])
+        return piv[-1] == len(cols) - 1
+
+    def coloops(self, R: int, C: int, rows: list[list[int]]) -> int:
+        # In the reduced echelon form a pivot column is a coloop exactly when
+        # no free column uses its row.
+        cols = _indices(R)
+        if not cols:
+            return 0
+        ech, piv = _bareiss_echelon([[row[j] for j in cols] for row in rows],
+                                    reduced=True)
+        free = sorted(set(range(len(cols))).difference(piv))
+        coloops = 0
+        for row, k in zip(ech, piv):
+            if not any(row[f] for f in free):
+                coloops |= 1 << cols[k]
+        return coloops
+
+
+def _views(M: Matroid) -> _MaskViews | _RowViews:
+    return _RowViews(M) if M.is_realized else _MaskViews(M)
 
 
 def tutte(M: Matroid) -> BiPoly:
@@ -36,38 +172,31 @@ def tutte(M: Matroid) -> BiPoly:
     Loops contribute a factor y, coloops a factor x, and otherwise
     T = T(delete e) + T(contract e) on the smallest remaining element.
     """
-    rank, closure = M.rank_mask, M.closure_mask
+    views = _views(M)
     memo: dict[tuple[int, int], BiPoly] = {}
 
-    def view(R: int, C: int, coloop_free: bool = False) -> BiPoly:
+    def view(R: int, C: int, state, coloop_free: bool = False) -> BiPoly:
         key = (R, C)
         cached = memo.get(key)
         if cached is not None:
             return cached
         loops = R & C
         R ^= loops
-        coloops = 0
         # Contracting an element of a coloop-free view leaves it coloop-free.
-        if not coloop_free:
-            full = rank(R | C)
-            rest = R
-            while rest:
-                e = rest & -rest
-                rest ^= e
-                if rank((R | C) ^ e) < full:
-                    coloops |= e
+        coloops = 0 if coloop_free else views.coloops(R, C, state)
         if coloops:
             R ^= coloops
-            C = closure(C | coloops)
+            C, state = views.contract(C, state, coloops)
         value = BiPoly({(coloops.bit_count(), loops.bit_count()): 1})
         if R:
             e = R & -R
             R ^= e
-            value = value * (view(R, C) + view(R, closure(C | e), True))
+            value = value * (view(R, C, state)
+                             + view(R, *views.contract(C, state, e), True))
         memo[key] = value
         return value
 
-    return view((1 << M.n) - 1, closure(0))
+    return view((1 << M.n) - 1, *views.start())
 
 
 def tutte_bruteforce(M: Matroid) -> BiPoly:
@@ -101,35 +230,34 @@ def tutte_bruteforce(M: Matroid) -> BiPoly:
 _T_MINUS_ONE = UniPoly((-1, 1))
 
 
-def _view_chi(M: Matroid) -> Callable[[int, int], UniPoly]:
-    """chi of the views of M, memoized per returned function.
+def _view_chi(views: _MaskViews | _RowViews
+              ) -> Callable[[int, int, object], UniPoly]:
+    """chi of the views of one matroid, memoized per returned function.
 
-    chi(R, C) is the characteristic polynomial of the minor on the
-    elements R after contracting the flat C.
+    chi(R, C, state) is the characteristic polynomial of the minor on the
+    elements R after contracting the flat C, whose state `views` gave.
     """
-    rank, closure = M.rank_mask, M.closure_mask
     memo: dict[tuple[int, int], UniPoly] = {}
+    drop_parallel, contract, is_coloop = (
+        views.drop_parallel, views.contract, views.is_coloop)
 
-    def chi(R: int, C: int) -> UniPoly:
+    def chi(R: int, C: int, state) -> UniPoly:
         if R & C:
             return UniPoly.zero()
-        while R:
-            e = R & -R
-            Ce = closure(C | e)
-            if not (Ce & R) ^ e:
-                break
-            R ^= e
+        R = drop_parallel(R, C, state)
         if not R:
             return UniPoly.one()
         key = (R, C)
         cached = memo.get(key)
         if cached is not None:
             return cached
+        e = R & -R
         rest = R ^ e
-        if rank(rest | C) < rank(R | C):
-            value = _T_MINUS_ONE * chi(rest, Ce)
+        Ce, state_e = contract(C, state, e)
+        if is_coloop(R, C, state, e):
+            value = _T_MINUS_ONE * chi(rest, Ce, state_e)
         else:
-            value = chi(rest, C) - chi(rest, Ce)
+            value = chi(rest, C, state) - chi(rest, Ce, state_e)
         memo[key] = value
         return value
 
@@ -140,7 +268,8 @@ def char_poly(M: Matroid) -> UniPoly:
     """Characteristic polynomial chi(t) = (-1)^r T(1-t, 0), zero when the
     matroid has a loop."""
     if M._charpoly is None:
-        M._charpoly = _view_chi(M)((1 << M.n) - 1, M.closure_mask(0))
+        views = _views(M)
+        M._charpoly = _view_chi(views)((1 << M.n) - 1, *views.start())
     return M._charpoly
 
 
@@ -153,15 +282,20 @@ def flat_minor_terms(M: Matroid) -> Callable[[Iterable[int]], tuple[UniPoly, int
     """A function taking a flat F of M to chi(M|F) and |mu(M/F)|.
 
     M|F is the view (F, cl(empty)) and M/F the view (E - F, F); one chi memo
-    serves every flat passed to the returned function, and no minor is built.
+    serves every flat passed to the returned function, and no minor is
+    built.  These views ask the mask oracle even on realized input: the
+    caller has walked the lattice of flats, which leaves every closure
+    cl(F + e) these views ask for in the closure cache, and answering from
+    that cache is several times faster than pivoting the rows.
     """
-    chi = _view_chi(M)
+    chi = _view_chi(_MaskViews(M))
     ground = (1 << M.n) - 1
     bottom = M.closure_mask(0)
 
     def terms(F: Iterable[int]) -> tuple[UniPoly, int]:
         mask = M.mask(F)
-        return chi(mask, bottom), abs(chi(ground ^ mask, mask).evaluate(0))
+        return (chi(mask, bottom, None),
+                abs(chi(ground ^ mask, mask, None).evaluate(0)))
 
     return terms
 
@@ -234,6 +368,7 @@ def compute_invariants(M: Matroid) -> InvariantReport:
     T = tutte(M)
     r = M.full_rank()
     chi = _char_poly_from_tutte(T, r)
+    M._charpoly = chi
     poincare = _poincare_from_chi(chi, r) if M.is_loopless() else None
     return InvariantReport(
         n=M.n,

@@ -74,11 +74,12 @@ class QMatrix:
     @classmethod
     def from_json_dict(cls, data: dict) -> "QMatrix":
         try:
-            rows = int(data["rows"])
-            cols = int(data["cols"])
-            entries = data["entries"]
+            rows, cols, entries = data["rows"], data["cols"], data["entries"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"matrix JSON missing field: {exc}") from exc
+        # int() would read 2.9, true or "2" as a size; only JSON integers pass.
+        if type(rows) is not int or type(cols) is not int:
+            raise ValueError("matrix JSON 'rows' and 'cols' must be integers")
         if not isinstance(entries, list) or not all(
                 isinstance(row, list) for row in entries):
             raise ValueError("matrix JSON 'entries' must be a list of rows")
@@ -99,12 +100,14 @@ def _integer_rows(entries: Iterable[Sequence[Fraction]]) -> list[list[int]]:
     return out
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination.
+def _bareiss_echelon(rows: Sequence[Sequence[int]], reduced: bool = False
+                     ) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free forward elimination, or Gauss-Jordan when `reduced`.
 
     Returns the echelon rows (zero rows removed) and the pivot column of
     each surviving row.  Entries stay integral: each update divides exactly
-    by the previous pivot.
+    by the previous pivot, since every entry is a minor of the input.  In
+    the reduced form each pivot column is zero outside its pivot row.
     """
     rows = [list(r) for r in rows]
     m = len(rows)
@@ -123,11 +126,13 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]
         if sel != piv_r:
             rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
         pivot = rows[piv_r][c]
-        for i in range(piv_r + 1, m):
+        for i in range(0 if reduced else piv_r + 1, m):
+            if i == piv_r:
+                continue
             ri = rows[i]
             rp = rows[piv_r]
             factor = ri[c]
-            # The update must hit every lower row, zero factor or not:
+            # The update must hit every other row, zero factor or not:
             # the exact-division invariant needs uniformly scaled minors.
             for j in range(ncols):
                 ri[j] = (ri[j] * pivot - factor * rp[j]) // prev
@@ -137,6 +142,34 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]
         if piv_r == m:
             break
     return rows[:piv_r], piv_cols
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by its content (a zero row is returned as it is)."""
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _pivot(rows: list[list[int]], j: int) -> list[list[int]]:
+    """Linearly independent integer rows taken modulo their column j.
+
+    Column j is eliminated with its first nonzero row, that row is dropped,
+    and each changed row is divided by its content.  The result spans the
+    quotient by column j, so its zero columns are the columns that were
+    multiples of column j.  Rows left unchanged are shared, not copied.
+    """
+    p = next((i for i, row in enumerate(rows) if row[j]), None)
+    if p is None:
+        return rows
+    prow = rows[p]
+    a = prow[j]
+    out = []
+    for i, row in enumerate(rows):
+        f = row[j]
+        if i != p:
+            out.append(_primitive([a * x - f * y for x, y in zip(row, prow)])
+                       if f else row)
+    return out
 
 
 def rank(A: QMatrix) -> int:

@@ -9,14 +9,16 @@ with no realization at hand.
 Subsets are also handled as int bitmasks, element e at bit e - 1.  Rank and
 closure queries are memoized per instance, keyed by mask; the caches are
 filled monotonically with values that never change, so concurrent readers
-are safe under the interpreter lock.  The lattice of flats, once built, is
-immutable.
+are safe under the interpreter lock.  A realized closure is read off the
+integer rows after one pivot step per column of the mask.  The lattice of
+flats, once built, is immutable.
 
 Minor operations relabel the surviving ground set by order-preserving
 compression and return the relabeling alongside: element k of the minor sat
 at ambient index labels[k-1].  An explicit minor filters the basis list.
-The flats are found by one walk up the ranks, and the lattice keeps only the
-Moebius values mu(bottom, F).
+The flats are found by one walk up the ranks, which leaves cl(F + e) for
+every flat F and element e in the closure cache, and the lattice keeps only
+the Moebius values mu(bottom, F).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .linalg import (
     QMatrix,
     Subspace,
     _integer_rows,
+    _pivot,
     contract_subspace,
     rank_int_rows,
     restrict_subspace,
@@ -148,15 +151,38 @@ class Matroid:
         return cached
 
     def closure_mask(self, mask: int) -> int:
-        """Mask of the largest superset of `mask` with the same rank."""
+        """Mask of the largest superset of `mask` with the same rank.
+
+        A realized matroid reads it off its integer rows taken modulo the
+        columns of `mask`: one pivot step per column, after which a column
+        is zero exactly when it lies in the closure.  The ranks of `mask`
+        and of each `mask` plus one element come out on the way and are
+        cached, as the rank queries of the explicit route would cache them.
+        """
         cached = self._closure_cache.get(mask)
         if cached is None:
-            rk = self.rank_mask(mask)
-            cached = mask
-            for j in range(self.n):
-                bit = 1 << j
-                if not mask & bit and self.rank_mask(mask | bit) == rk:
-                    cached |= bit
+            if self._int_rows is None:
+                rk = self.rank_mask(mask)
+                cached = mask
+                for j in range(self.n):
+                    bit = 1 << j
+                    if not mask & bit and self.rank_mask(mask | bit) == rk:
+                        cached |= bit
+            else:
+                rows = self._int_rows
+                for j in range(self.n):
+                    if mask >> j & 1:
+                        rows = _pivot(rows, j)
+                rk = len(self._int_rows) - len(rows)
+                self._rank_cache[mask] = rk
+                nonzero = [any(column) for column in zip(*rows)] or [False] * self.n
+                cached = mask
+                for j, grows in enumerate(nonzero):
+                    bit = 1 << j
+                    if not mask & bit:
+                        self._rank_cache.setdefault(mask | bit, rk + grows)
+                        if not grows:
+                            cached |= bit
             self._closure_cache[mask] = cached
         return cached
 
@@ -346,6 +372,7 @@ def flats(M: Matroid) -> FlatLattice:
     if M._lattice is not None:
         return M._lattice
     closure = M.closure_mask
+    cache = M._closure_cache
     ground = (1 << M.n) - 1
     levels = [[closure(0)]]
     while True:
@@ -356,6 +383,11 @@ def flats(M: Matroid) -> FlatLattice:
                 G = closure(F | (rest & -rest))
                 found.add(G)
                 rest &= ~G
+                # cl(F + e) = G for every e in G - F, since F is a flat.
+                new = G & ~F
+                while new:
+                    cache.setdefault(F | (new & -new), G)
+                    new &= new - 1
         if not found:
             break
         levels.append(sorted(found, key=lambda G: sorted(_elements_of(G))))
@@ -437,13 +469,11 @@ def matroid_from_json_dict(data: dict) -> Matroid:
     if "matrix" in data:
         return Matroid.from_matrix(QMatrix.from_json_dict(data["matrix"]))
     if "bases" in data:
-        try:
-            n = int(data["n"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError("explicit matroid JSON needs an integer 'n'") from exc
-        bases = data["bases"]
-        # int() would read 1.7 or true as element 1 and fail on null with a
-        # TypeError, so the element types are checked here, once per input.
+        n, bases = data.get("n"), data["bases"]
+        # int() would read 1.7 or true as 1 and fail on null with a
+        # TypeError, so the types are checked here, once per input.
+        if type(n) is not int:
+            raise ValueError("explicit matroid JSON needs an integer 'n'")
         if not isinstance(bases, list) or not all(
                 isinstance(b, list) and all(type(e) is int for e in b)
                 for b in bases):

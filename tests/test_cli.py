@@ -107,6 +107,14 @@ class TestScoreCountAndRmld:
         {"n": 3, "bases": [[1, None]]},
         {"n": 3, "bases": [[1.7, 2]]},
         {"n": 3, "bases": [[True, 2]]},
+        {"n": 3.7, "bases": [[1, 2], [1, 3], [2, 3]]},
+        {"n": True, "bases": [[1]]},
+        {"n": "3", "bases": [[1, 2], [1, 3], [2, 3]]},
+        {"bases": [[1, 2]]},
+        {"rows": True, "cols": 2.9, "entries": [["1", "2"]]},
+        {"rows": 1, "cols": 2.0, "entries": [["1", "2"]]},
+        {"rows": "1", "cols": "2", "entries": [["1", "2"]]},
+        {"matrix": {"rows": 1, "cols": False, "entries": [[]]}},
     ])
     def test_malformed_json_is_a_usage_error(self, tmp_path, capsys, payload):
         path = write_json(tmp_path, "m.json", payload)

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import mldeg.invariants
+
 from mldeg import (
     BiPoly,
     Matroid,
@@ -161,3 +163,23 @@ class TestReport:
             sign = -1 if rep.rank % 2 else 1
             assert rep.charpoly == slice_sub.scale(sign)
             assert rep.mobius == rep.charpoly.evaluate(0)
+
+    def test_report_caches_chi_for_the_degrees(self, monkeypatch):
+        # compute_invariants reads chi off its Tutte polynomial and keeps it,
+        # so the degrees that follow run no second recursion.  Corpus entries
+        # may carry chi from other tests, so each check runs on fresh copies.
+        def fresh(M):
+            if M.is_realized:
+                return Matroid.from_subspace(M.subspace)
+            return Matroid.from_bases(M.n, M.bases())
+
+        def no_recursion(views):
+            raise AssertionError("char_poly recursed after compute_invariants")
+
+        for M in corpus_upto(7)[:40]:
+            expected = char_poly(fresh(M))
+            N = fresh(M)
+            compute_invariants(N)
+            monkeypatch.setattr(mldeg.invariants, "_view_chi", no_recursion)
+            assert char_poly(N) == expected
+            monkeypatch.undo()

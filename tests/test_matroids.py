@@ -178,6 +178,27 @@ class TestClosure:
             once = M.closure(S)
             assert M.closure(once) == once
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 7), r=st.integers(0, 4))
+    def test_realized_closures_and_cached_ranks_match_bases(self, seed, n, r):
+        # A realized closure pivots the rows and caches ranks on the way; the
+        # explicit copy answers every mask from its bases.
+        M = Matroid.from_matrix(random_matrix(random.Random(seed), n, min(n, r)))
+        E = _explicit_copy(M)
+        for mask in range(1 << n):
+            assert M.closure_mask(mask) == E.closure_mask(mask)
+        for mask, rk in M._rank_cache.items():
+            assert rk == E.rank_mask(mask)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 9), r=st.integers(0, 4))
+    def test_flats_walk_caches_true_closures(self, seed, n, r):
+        M = Matroid.from_matrix(random_matrix(random.Random(seed), n, min(n, r)))
+        flats(M)
+        E = _explicit_copy(M)
+        for mask, closed in M._closure_cache.items():
+            assert closed == E.closure_mask(mask)
+        for mask, rk in M._rank_cache.items():
+            assert rk == E.rank_mask(mask)
+
 
 def check_against_enumeration(M: Matroid) -> None:
     lat = flats(M)

@@ -1,6 +1,9 @@
 """The view recursions behind tutte / char_poly / score_count against the
 reference routes that build no views: the corank-nullity expansion, the
 flats/Moebius sum, and deletion-contraction on explicitly built minors.
+On realized input the views carry projected integer rows; those answers
+are also compared with the explicit-bases copy, whose views ask the mask
+rank oracle.
 
 Each check runs on a fresh copy of its matroid, because chi is cached on
 the instance and a shared corpus entry may already carry it from another
@@ -8,6 +11,8 @@ test.
 """
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import mldeg.invariants
 import mldeg.mldegree
@@ -21,6 +26,7 @@ from mldeg import (
     char_poly,
     char_poly_flats,
     contract_set,
+    flats,
     restrict,
     rmld,
     score_count,
@@ -30,7 +36,10 @@ from mldeg import (
     verify_stratification,
 )
 
-from conftest import corpus, corpus_upto, random_matrix, vamos_matroid
+from conftest import (
+    _explicit_copy, corpus, corpus_upto, random_matrix, vamos_matroid,
+)
+from mldeg.invariants import _RowViews, _view_chi, flat_minor_terms
 
 
 def fresh(M: Matroid) -> Matroid:
@@ -109,3 +118,95 @@ def test_no_module_level_table_keeps_entries():
         held = {name: len(value) for name, value in vars(module).items()
                 if isinstance(value, dict) and not name.startswith("__") and value}
         assert held == {}, module.__name__
+
+
+def row_flat_terms(M: Matroid):
+    """flat_minor_terms on the row route: the view (E - F, F) starts from
+    the rows reduced modulo span(F)."""
+    views = _RowViews(M)
+    chi = _view_chi(views)
+    ground = (1 << M.n) - 1
+    bottom, rows = views.start()
+
+    def terms(F):
+        mask = M.mask(F)
+        top = chi(ground ^ mask, *views.contract(bottom, rows, mask))
+        return chi(mask, bottom, rows), abs(top.evaluate(0))
+
+    return terms
+
+
+def check_rows_against_masks(M: Matroid) -> None:
+    """The row route on realized M equals the mask route on its bases."""
+    E = _explicit_copy(M)
+    assert tutte(fresh(M)) == tutte(E)
+    assert char_poly(fresh(M)) == char_poly(_explicit_copy(M))
+    rows_terms, mask_terms = row_flat_terms(fresh(M)), flat_minor_terms(E)
+    realized_terms = flat_minor_terms(fresh(M))
+    for F in flats(E).flats:
+        assert rows_terms(F) == mask_terms(F) == realized_terms(F)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 9), r=st.integers(0, 5))
+def test_row_route_matches_mask_route(seed, n, r):
+    rng = random.Random(seed)
+    M = Matroid.from_matrix(random_matrix(rng, n, min(n, r)))
+    assert M.is_realized
+    check_rows_against_masks(M)
+
+
+def test_fraction_entries_and_row_content():
+    half, third = Fraction(1, 2), Fraction(2, 3)
+    rows = [[half, 3, 6, third, 0, 9, 1],
+            [4, 8, 0, 12, 6, 2, 10],
+            [0, third, 4, 2, Fraction(6, 7), 0, 3]]
+    M = Matroid.from_matrix(QMatrix.from_rows(rows))
+    check_rows_against_masks(M)
+    assert tutte(fresh(M)) == tutte_bruteforce(M)
+    # Every contraction by one element leaves r - 1 primitive rows whose zero
+    # columns are the closure, and some pivot step meets content > 1.
+    views = _RowViews(fresh(M))
+    bottom, start = views.start()
+    divided = False
+    for j in range(M.n):
+        C, projected = views.contract(bottom, start, 1 << j)
+        assert C == M.closure_mask(1 << j)
+        assert len(projected) == M.full_rank() - 1
+        assert all(gcd(*row) == 1 for row in projected)
+        pivot = next(row for row in start if row[j])
+        divided |= any(gcd(*[pivot[j] * x - row[j] * y
+                             for x, y in zip(row, pivot)]) > 1
+                       for row in start if row[j] and row is not pivot)
+    assert divided
+
+
+def test_free_matroid_pivots_once_per_element(monkeypatch):
+    # Every element is a coloop, so neither recursion may take a deletion
+    # branch: n pivot steps each, not 2^n.
+    n = 6
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    M = Matroid.from_matrix(QMatrix.from_rows(identity))
+    pivots = []
+    pivot = mldeg.invariants._pivot
+
+    def counted(rows, j):
+        pivots.append(j)
+        return pivot(rows, j)
+
+    monkeypatch.setattr(mldeg.invariants, "_pivot", counted)
+    assert tutte(fresh(M)) == BiPoly({(n, 0): 1})
+    assert sorted(pivots) == list(range(n))
+    pivots.clear()
+    assert char_poly(fresh(M)) == UniPoly((-1, 1)) ** n
+    assert sorted(pivots) == list(range(n))
+    monkeypatch.undo()
+    check_rows_against_masks(M)
+
+
+def test_row_route_leaves_the_mask_caches_empty():
+    for M in corpus_upto(8):
+        if M.is_realized:
+            N = fresh(M)
+            tutte(N)
+            char_poly(N)
+            assert N._rank_cache == {} and N._closure_cache == {}
