@@ -102,7 +102,7 @@ class _RowViews:
 
     def __init__(self, M: Matroid):
         self.ground = (1 << M.n) - 1
-        # Already primitive: each is an rref row times its denominators' lcm.
+        # The primitive integer rref rows the subspace of M stores.
         self.rows = M._int_rows
 
     def start(self) -> tuple[int, list[list[int]]]:
@@ -166,11 +166,15 @@ def _views(M: Matroid) -> _MaskViews | _RowViews:
     return _RowViews(M) if M.is_realized else _MaskViews(M)
 
 
+_BI_ONE = BiPoly.one()
+
+
 def tutte(M: Matroid) -> BiPoly:
     """Tutte polynomial by deletion-contraction.
 
     Loops contribute a factor y, coloops a factor x, and otherwise
     T = T(delete e) + T(contract e) on the smallest remaining element.
+    The factors of a view are applied as one shift of the exponents.
     """
     views = _views(M)
     memo: dict[tuple[int, int], BiPoly] = {}
@@ -187,12 +191,15 @@ def tutte(M: Matroid) -> BiPoly:
         if coloops:
             R ^= coloops
             C, state = views.contract(C, state, coloops)
-        value = BiPoly({(coloops.bit_count(), loops.bit_count()): 1})
         if R:
             e = R & -R
             R ^= e
-            value = value * (view(R, C, state)
-                             + view(R, *views.contract(C, state, e), True))
+            value = (view(R, C, state)
+                     + view(R, *views.contract(C, state, e), True))
+        else:
+            value = _BI_ONE
+        if coloops or loops:
+            value = value.shift(coloops.bit_count(), loops.bit_count())
         memo[key] = value
         return value
 

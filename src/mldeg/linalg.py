@@ -1,10 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Matrices carry Fraction entries.  Row reduction clears denominators row by
-row and runs fraction-free (Bareiss) forward elimination on integers, so
-intermediate entries stay small; the reduced row echelon form is produced by
-a final normalization pass.  Subspaces are stored as the rref basis of their
-row span, which makes subspace equality plain entrywise equality.
+Matrices carry Fraction entries.  A subspace is stored by the primitive
+integer rows of the reduced row echelon form of its row span: each rref row
+scaled to integers, its content divided out and its pivot entry positive.
+That form is as canonical as the rref itself, so subspace equality is plain
+entrywise equality of the rows.  Input is brought to it by clearing
+denominators once and running fraction-free (Bareiss) Gauss-Jordan
+elimination on integers.  Restriction and contraction work on the stored
+rows with integer pivot steps, so no minor goes through Fractions: they
+appear only at the boundary, in QMatrix input, in rref() and in the
+Subspace.basis matrix that the solver and JSON output read.
 
 Coordinates of the ambient space are 1-based (the ground set of the matroid
 downstream is {1, ..., n}).  Operations that drop coordinates return, next to
@@ -16,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .ratpoly import format_rational, parse_rational
@@ -144,31 +150,58 @@ def _bareiss_echelon(rows: Sequence[Sequence[int]], reduced: bool = False
     return rows[:piv_r], piv_cols
 
 
-def _primitive(row: list[int]) -> list[int]:
-    """The row divided by its content (a zero row is returned as it is)."""
+def _primitive(row: Sequence[int]) -> Sequence[int]:
+    """The row divided by its content and signed so that its leading entry
+    is positive (a zero row, or one already in that form, is returned as
+    it is)."""
     g = gcd(*row)
-    return [a // g for a in row] if g > 1 else row
+    if g and next(a for a in row if a) < 0:
+        g = -g
+    return [a // g for a in row] if g and g != 1 else row
+
+
+def _lead(row: Sequence[int]) -> int | None:
+    """Position of the first nonzero entry (None for a zero row)."""
+    return next((j for j, a in enumerate(row) if a), None)
+
+
+def _eliminate(rows: Sequence[Sequence[int]], p: int, c: int) -> list:
+    """The rows with column c cleared outside row p by one fraction-free
+    pivot step on rows[p].  Each changed row is made primitive again; rows
+    left unchanged are shared, not copied."""
+    prow = rows[p]
+    a = prow[c]
+    out = []
+    for i, row in enumerate(rows):
+        f = row[c]
+        out.append(_primitive([a * x - f * y for x, y in zip(row, prow)])
+                   if f and i != p else row)
+    return out
+
+
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The primitive integer rref rows of the span of integer rows.
+
+    One fraction-free Gauss-Jordan elimination: each reduced row is a
+    multiple of an rref row, so dividing out its content and fixing the
+    sign of its pivot gives the canonical form a Subspace stores.
+    """
+    ech, _ = _bareiss_echelon(rows, reduced=True)
+    return tuple(tuple(_primitive(row)) for row in ech)
 
 
 def _pivot(rows: list[list[int]], j: int) -> list[list[int]]:
     """Linearly independent integer rows taken modulo their column j.
 
-    Column j is eliminated with its first nonzero row, that row is dropped,
-    and each changed row is divided by its content.  The result spans the
-    quotient by column j, so its zero columns are the columns that were
-    multiples of column j.  Rows left unchanged are shared, not copied.
+    Column j is eliminated with its first nonzero row, and that row is
+    dropped.  The result spans the quotient by column j, so its zero
+    columns are the columns that were multiples of column j.
     """
     p = next((i for i, row in enumerate(rows) if row[j]), None)
     if p is None:
         return rows
-    prow = rows[p]
-    a = prow[j]
-    out = []
-    for i, row in enumerate(rows):
-        f = row[j]
-        if i != p:
-            out.append(_primitive([a * x - f * y for x, y in zip(row, prow)])
-                       if f else row)
+    out = _eliminate(rows, p, j)
+    del out[p]
     return out
 
 
@@ -193,60 +226,52 @@ def rref(A: QMatrix) -> QMatrix:
 
     Canonical: two matrices with equal row spaces reduce to the same rref.
     """
-    if A.rows == 0 or A.cols == 0:
-        return QMatrix(0, A.cols, ())
-    ech, piv_cols = _bareiss_echelon(_integer_rows(A.entries))
-    # Back-substitute and normalize pivots to 1 (Fractions from here on).
-    work = [[Fraction(e) for e in row] for row in ech]
-    for k in range(len(piv_cols) - 1, -1, -1):
-        c = piv_cols[k]
-        pivot = work[k][c]
-        work[k] = [e / pivot for e in work[k]]
-        for i in range(k):
-            f = work[i][c]
-            if f:
-                work[i] = [a - f * b for a, b in zip(work[i], work[k])]
-    grid = tuple(tuple(row) for row in work)
-    return QMatrix(len(grid), A.cols, grid)
+    return Subspace.from_matrix(A).basis
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of C^n stored by the canonical rref basis of its
-    row span; equality of subspaces is equality of the stored matrices."""
+    """A linear subspace of C^n stored by the primitive integer rows of the
+    rref of its row span; equality of subspaces is equality of the rows."""
 
     ambient_n: int
-    basis: QMatrix
-    dim: int
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.basis.cols != self.ambient_n or self.basis.rows != self.dim:
-            raise ValueError("basis shape inconsistent with ambient/dim")
+        if self.ambient_n < 0:
+            raise ValueError("ambient dimension must be nonnegative")
+        if any(len(row) != self.ambient_n for row in self.rows):
+            raise ValueError("row length inconsistent with ambient dimension")
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    @cached_property
+    def basis(self) -> QMatrix:
+        """The rref as a Fraction matrix, each row over its pivot entry;
+        built on first use."""
+        grid = tuple(tuple(Fraction(a, row[_lead(row)]) for a in row)
+                     for row in self.rows)
+        return QMatrix(len(grid), self.ambient_n, grid)
 
     @classmethod
     def from_matrix(cls, A: QMatrix) -> "Subspace":
-        B = rref(A)
-        return cls(A.cols, B, B.rows)
+        return cls(A.cols, _echelon(_integer_rows(A.entries)))
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(n, QMatrix(0, n, ()), 0)
+        return cls(n, ())
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        one = Fraction(1)
-        zero = Fraction(0)
-        grid = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        return cls(n, QMatrix(n, n, grid), n)
+        return cls(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def contains(self, vector: Sequence) -> bool:
         v = [parse_rational(e) for e in vector]
         if len(v) != self.ambient_n:
             raise ValueError("vector length does not match ambient dimension")
-        stacked = QMatrix.from_rows(
-            [list(row) for row in self.basis.entries] + [v], cols=self.ambient_n
-        )
-        return rank(stacked) == self.dim
+        return rank_int_rows([*self.rows, *_integer_rows([v])]) == self.dim
 
 
 def kernel(L: Subspace) -> Subspace:
@@ -256,28 +281,18 @@ def kernel(L: Subspace) -> Subspace:
     zero with every basis vector of L.
     """
     n = L.ambient_n
-    B = L.basis
-    if L.dim == 0:
-        return Subspace.full(n)
-    # B is rref; read the nullspace straight off the free columns.
-    piv_cols = []
-    for i in range(B.rows):
-        for j in range(B.cols):
-            if B.entries[i][j] != 0:
-                piv_cols.append(j)
-                break
-    piv_set = set(piv_cols)
-    free_cols = [j for j in range(n) if j not in piv_set]
+    # Read the nullspace off the free columns of the rref, every vector
+    # scaled by the lcm of the pivot entries to stay integral.
+    pivots = [_lead(row) for row in L.rows]
+    scale = lcm(*(row[p] for row, p in zip(L.rows, pivots)))
     vectors = []
-    for f in free_cols:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, p in enumerate(piv_cols):
-            v[p] = -B.entries[i][f]
+    for f in sorted(set(range(n)).difference(pivots)):
+        v = [0] * n
+        v[f] = scale
+        for row, p in zip(L.rows, pivots):
+            v[p] = -row[f] * scale // row[p]
         vectors.append(v)
-    if not vectors:
-        return Subspace.zero(n)
-    return Subspace.from_matrix(QMatrix.from_rows(vectors, cols=n))
+    return Subspace(n, _echelon(vectors))
 
 
 def _check_index_set(indices: Iterable[int], n: int) -> tuple[int, ...]:
@@ -292,11 +307,23 @@ def restrict_subspace(L: Subspace, F: Iterable[int]) -> tuple[Subspace, tuple[in
 
     Returns the projected subspace together with the surviving ambient
     indices in order (new coordinate k corresponds to labels[k-1]).
+
+    A stored row whose pivot column survives keeps its pivot, and is zero
+    in every other pivot column.  Each row whose pivot column is dropped
+    takes one pivot step at its first surviving nonzero column, which is
+    cleared from the other rows; rows that vanish are dropped.
     """
     labels = _check_index_set(F, L.ambient_n)
-    cols0 = [i - 1 for i in labels]
-    sub = L.basis.column_submatrix(cols0)
-    return Subspace.from_matrix(sub), labels
+    cols = [i - 1 for i in labels]
+    kept = set(cols)
+    rows = [_primitive([row[j] for j in cols]) for row in L.rows]
+    for i, row in enumerate(L.rows):
+        if _lead(row) not in kept:
+            c = _lead(rows[i])
+            if c is not None:
+                rows = _eliminate(rows, i, c)
+    rows = sorted((tuple(row) for row in rows if any(row)), key=_lead)
+    return Subspace(len(cols), tuple(rows)), labels
 
 
 def contract_subspace(L: Subspace, I: Iterable[int]) -> tuple[Subspace, tuple[int, ...]]:
@@ -307,8 +334,8 @@ def contract_subspace(L: Subspace, I: Iterable[int]) -> tuple[Subspace, tuple[in
 
     In the rref of L with the I columns first, the rows zero on I span the
     vectors of L vanishing on I and, with those columns dropped, are the
-    rref of the result.  When I is a prefix of 1..n the stored rref already
-    has that column order and no elimination runs.
+    rref of the result.  When I is a prefix of 1..n the stored rows already
+    have that column order and no elimination runs.
     """
     drop = _check_index_set(I, L.ambient_n)
     dropped = set(drop)
@@ -316,8 +343,7 @@ def contract_subspace(L: Subspace, I: Iterable[int]) -> tuple[Subspace, tuple[in
     if not drop:
         return L, labels
     k = len(drop)
-    B = L.basis
+    rows = L.rows
     if drop[-1] != k:
-        B = rref(B.column_submatrix([i - 1 for i in drop + labels]))
-    grid = tuple(row[k:] for row in B.entries if not any(row[:k]))
-    return Subspace(len(labels), QMatrix(len(grid), len(labels), grid), len(grid)), labels
+        rows = _echelon([[row[i - 1] for i in drop + labels] for row in rows])
+    return Subspace(len(labels), tuple(row[k:] for row in rows if not any(row[:k]))), labels

@@ -31,7 +31,6 @@ from typing import Iterable, Sequence
 from .linalg import (
     QMatrix,
     Subspace,
-    _integer_rows,
     _pivot,
     contract_subspace,
     rank_int_rows,
@@ -53,6 +52,7 @@ class Matroid:
         "_lattice",
         "_components",
         "_charpoly",
+        "_flat_terms",
     )
 
     def __init__(self, n: int, subspace: Subspace | None = None,
@@ -72,10 +72,12 @@ class Matroid:
         self._components = None
         # Characteristic polynomial, set by mldeg.invariants.char_poly.
         self._charpoly = None
+        # (chi(M|F), |mu(M/F)|) per flat, set by verify_stratification.
+        self._flat_terms = None
         if subspace is not None:
             if subspace.ambient_n != n:
                 raise ValueError("subspace ambient dimension must equal n")
-            self._int_rows = _integer_rows(subspace.basis.entries)
+            self._int_rows = subspace.rows
         else:
             blist = [frozenset(int(e) for e in b) for b in bases]
             if not blist:
@@ -121,7 +123,7 @@ class Matroid:
     def cache_key(self) -> tuple:
         """Canonical hashable key: equal keys mean equal labeled matroids."""
         if self._subspace is not None:
-            return ("rref", self.n, self._subspace.basis.entries)
+            return ("rref", self.n, self._subspace.rows)
         return ("bases", self.n, tuple(tuple(sorted(b)) for b in self._bases))
 
     # -- rank oracle -------------------------------------------------------
@@ -277,11 +279,11 @@ def restrict(M: Matroid, F: Iterable[int]) -> tuple[Matroid, tuple[int, ...]]:
     rank_{M|F}(S) = rank_M(S); returns (minor, surviving ambient labels).
     An explicit minor's bases are the distinct traces B & F of size r(F).
     """
+    if M.is_realized:
+        sub, labels = restrict_subspace(M.subspace, F)
+        return Matroid.from_subspace(sub), labels
     keep = sorted(M._subset(F))
     labels = tuple(keep)
-    if M.is_realized:
-        sub, _ = restrict_subspace(M.subspace, keep)
-        return Matroid.from_subspace(sub), labels
     mask = _mask_of(keep)
     rk = M.rank_mask(mask)
     traces = {b & mask for b in M._basis_masks if (b & mask).bit_count() == rk}
@@ -294,12 +296,12 @@ def contract_set(M: Matroid, I: Iterable[int]) -> tuple[Matroid, tuple[int, ...]
     rank_{M/I}(S) = rank_M(S + I) - rank_M(I).  An explicit minor's bases
     are the distinct sets B - I over the bases B with |B & I| = r(I).
     """
+    if M.is_realized:
+        sub, labels = contract_subspace(M.subspace, I)
+        return Matroid.from_subspace(sub), labels
     drop = M._subset(I)
     keep = [e for e in M.ground if e not in drop]
     labels = tuple(keep)
-    if M.is_realized:
-        sub, _ = contract_subspace(M.subspace, drop)
-        return Matroid.from_subspace(sub), labels
     mask = _mask_of(drop)
     rk = M.rank_mask(mask)
     traces = {b & ~mask for b in M._basis_masks if (b & mask).bit_count() == rk}

@@ -87,7 +87,8 @@ def score_count_dc(M: MatroidLike, d: int) -> int:
         otherwise, with value 1 on the empty ground set.
 
     A single coloop therefore counts d-1: solving the one-variable score
-    system directly gives x^(d-1) = 1/s.
+    system directly gives x^(d-1) = 1/s.  Element 1 is a coloop exactly
+    when deleting it lowers the rank, which the deletion minor shows.
     """
     M = _as_matroid(M)
     if d < 1:
@@ -104,11 +105,10 @@ def score_count_dc(M: MatroidLike, d: int) -> int:
         if cached is not None:
             return cached
         contracted, _ = contract_set(N, {1})
-        without_1 = (1 << N.n) - 2
-        if N.rank_mask(without_1) < N.full_rank():  # 1 is a coloop
+        deleted, _ = restrict(N, range(2, N.n + 1))
+        if deleted.full_rank() < N.full_rank():  # 1 is a coloop
             value = (d - 1) * count(contracted)
         else:
-            deleted, _ = restrict(N, range(2, N.n + 1))
             value = count(deleted) + d * count(contracted)
         memo[key] = value
         return value
@@ -213,10 +213,17 @@ def verify_stratification(L: MatroidLike, d: int) -> StratificationReport:
     lhs = d ** r * mu_abs
     contributions = []
     rhs = 0
-    terms = flat_minor_terms(M)
-    for F in flats(M).flats:
-        chi_F, mu_c = terms(F)
-        count = _count_from_chi(chi_F, M.rank(F), d)
+    lattice = flats(M)
+    # The pairs (chi(M|F), |mu(M/F)|) do not depend on d: kept on M, they
+    # are computed once for all the exponents checked.  Flats of one
+    # isomorphism type give equal pairs, which are stored once, so a
+    # long-lived process holding many matroids keeps them in little memory.
+    if M._flat_terms is None:
+        terms, shared = flat_minor_terms(M), {}
+        M._flat_terms = tuple(shared.setdefault(t, t)
+                              for t in map(terms, lattice.flats))
+    for F, rk, (chi_F, mu_c) in zip(lattice.flats, lattice.ranks, M._flat_terms):
+        count = _count_from_chi(chi_F, rk, d)
         rhs += count * mu_c
         contributions.append(
             FlatContribution(flat=tuple(sorted(F)), count=count, mu_contract=mu_c)

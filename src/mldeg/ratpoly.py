@@ -244,6 +244,10 @@ class BiPoly:
                 out[key] = out.get(key, 0) + c1 * c2
         return BiPoly(out)
 
+    def shift(self, i: int, j: int) -> "BiPoly":
+        """The product with the monomial x^i y^j."""
+        return BiPoly({(a + i, b + j): c for (a, b), c in self._terms.items()})
+
     def scale(self, k: int) -> "BiPoly":
         return BiPoly({key: k * c for key, c in self._terms.items()})
 

@@ -15,6 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from mldeg import Matroid, QMatrix, uniform_matroid
 
@@ -71,6 +72,46 @@ def random_matrix(rng: random.Random, n: int, r: int) -> QMatrix:
             for i in range(r):
                 grid[i][j] = scale * grid[i][src]
     return QMatrix.from_rows(grid, cols=n)
+
+
+rationals = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def any_matrices(draw, max_rows=5, max_cols=6):
+    """Integer or Fraction matrices, down to 0 rows or 0 columns, with zero
+    rows and rows that combine earlier ones mixed in (rank-deficient)."""
+    c = draw(st.integers(0, max_cols))
+    r = draw(st.integers(0, max_rows))
+    grid = []
+    for _ in range(r):
+        kind = draw(st.sampled_from(["free", "free", "zero", "combo"]))
+        if kind == "zero" or (kind == "combo" and not grid):
+            grid.append([0] * c)
+        elif kind == "combo":
+            a, b = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+            i, j = (draw(st.integers(0, len(grid) - 1)) for _ in range(2))
+            grid.append([a * x + b * y for x, y in zip(grid[i], grid[j])])
+        else:
+            grid.append(draw(st.lists(rationals, min_size=c, max_size=c)))
+    return QMatrix.from_rows(grid, cols=c)
+
+
+def mixed_copy(A: QMatrix, rng: random.Random) -> QMatrix:
+    """Rows scaled by nonzero rationals and added to later rows: the same
+    row space, a different matrix."""
+    scales = [rng.choice([1, -1, 2, Fraction(-3, 4), Fraction(5, 2)])
+              for _ in A.entries]
+    rows = [[e * k for e in row] for row, k in zip(A.entries, scales)]
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            k = rng.choice([0, 0, 1, -2, Fraction(1, 3)])
+            rows[j] = [a + k * b for a, b in zip(rows[j], rows[i])]
+    rows = rows[::-1]
+    return QMatrix.from_rows(rows, cols=A.cols)
 
 
 def _explicit_copy(M: Matroid) -> Matroid:

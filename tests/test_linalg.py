@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,9 @@ from mldeg import (
     restrict_subspace,
     rref,
 )
+from mldeg.linalg import _bareiss_echelon, _integer_rows
+
+from conftest import any_matrices, mixed_copy
 
 
 def mat(rows, cols=None):
@@ -47,6 +51,106 @@ def naive_rank(A: QMatrix) -> int:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rk])]
         rk += 1
     return rk
+
+
+def reference_rref(A: QMatrix) -> QMatrix:
+    """Bareiss forward elimination, then back-substitution in Fractions:
+    the rref route the library used before subspaces were stored on
+    integer rows, kept as the reference."""
+    if A.rows == 0 or A.cols == 0:
+        return QMatrix(0, A.cols, ())
+    ech, piv_cols = _bareiss_echelon(_integer_rows(A.entries))
+    work = [[Fraction(e) for e in row] for row in ech]
+    for k in range(len(piv_cols) - 1, -1, -1):
+        c = piv_cols[k]
+        pivot = work[k][c]
+        work[k] = [e / pivot for e in work[k]]
+        for i in range(k):
+            f = work[i][c]
+            if f:
+                work[i] = [a - f * b for a, b in zip(work[i], work[k])]
+    grid = tuple(tuple(row) for row in work)
+    return QMatrix(len(grid), A.cols, grid)
+
+
+def assert_canonical_rows(L: Subspace) -> None:
+    """Primitive rows, positive pivots in increasing columns, each pivot
+    column zero outside its row."""
+    pivots = []
+    for row in L.rows:
+        assert len(row) == L.ambient_n
+        p = next(j for j, a in enumerate(row) if a)
+        assert row[p] > 0 and gcd(*row) == 1
+        pivots.append(p)
+    assert pivots == sorted(set(pivots))
+    for row, p in zip(L.rows, pivots):
+        assert all(other[p] == 0 for other in L.rows if other is not row)
+
+
+class TestIntegerRows:
+    """The primitive integer rref rows a Subspace stores, against the
+    Fraction reference."""
+
+    def test_rows_of_a_fraction_matrix(self):
+        L = Subspace.from_matrix(mat([[Fraction(1, 2), Fraction(1, 3), 0],
+                                      [0, -2, 4]]))
+        assert L.rows == ((3, 0, 4), (0, 1, -2))
+        assert L.basis == mat([[1, 0, Fraction(4, 3)], [0, 1, -2]])
+
+    def test_content_and_sign_divided_out(self):
+        L = Subspace.from_matrix(mat([[-6, 4, 10]]))
+        assert L.rows == ((3, -2, -5),)
+        assert L.basis == mat([[1, Fraction(-2, 3), Fraction(-5, 3)]])
+
+    def test_empty_shapes(self):
+        assert Subspace.from_matrix(QMatrix(0, 3, ())) == Subspace.zero(3)
+        assert Subspace.from_matrix(mat([[], []], cols=0)) == Subspace.zero(0)
+        assert Subspace.zero(0).basis == QMatrix(0, 0, ())
+        assert Subspace.full(2).rows == ((1, 0), (0, 1))
+
+    @given(any_matrices())
+    def test_basis_and_rref_match_reference(self, A):
+        L = Subspace.from_matrix(A)
+        assert_canonical_rows(L)
+        assert L.basis == reference_rref(A) == rref(A)
+        assert L.dim == naive_rank(A) and L.ambient_n == A.cols
+
+    @given(any_matrices(), st.integers(0, 2 ** 32 - 1))
+    def test_same_span_gives_same_rows(self, A, seed):
+        B = mixed_copy(A, random.Random(seed))
+        assert Subspace.from_matrix(B).rows == Subspace.from_matrix(A).rows
+        assert Subspace.from_matrix(B) == Subspace.from_matrix(A)
+
+    @given(any_matrices(), st.data())
+    def test_restrict_matches_projected_matrix(self, A, data):
+        n = A.cols
+        F = data.draw(st.sets(st.integers(1, n), max_size=n) if n else st.just(set()))
+        L = Subspace.from_matrix(A)
+        R, labels = restrict_subspace(L, F)
+        assert labels == tuple(sorted(F))
+        projected = Subspace.from_matrix(
+            A.column_submatrix([i - 1 for i in labels]))
+        assert R == projected
+        assert_canonical_rows(R)
+
+    @given(any_matrices(), st.data())
+    def test_contract_rows_are_canonical(self, A, data):
+        n = A.cols
+        I = data.draw(st.sets(st.integers(1, n), max_size=n) if n else st.just(set()))
+        C, _ = contract_subspace(Subspace.from_matrix(A), I)
+        assert_canonical_rows(C)
+        assert C.basis == reference_rref(C.basis)
+
+    @given(any_matrices())
+    def test_kernel_matches_reference(self, A):
+        L = Subspace.from_matrix(A)
+        K = kernel(L)
+        assert_canonical_rows(K)
+        assert K.dim == L.ambient_n - L.dim
+        assert K.basis == reference_rref(K.basis)
+        for row in L.rows:
+            for krow in K.rows:
+                assert sum(a * b for a, b in zip(row, krow)) == 0
 
 
 class TestRref:

@@ -21,9 +21,14 @@ from mldeg import (
     matroid_from_json_dict,
     restrict,
     restrict_subspace,
+    score_count,
+    score_count_dc,
     uniform_matroid,
 )
-from conftest import _explicit_copy, corpus, corpus_upto, k4_matroid, random_matrix
+from conftest import (
+    _explicit_copy, any_matrices, corpus, corpus_upto, k4_matroid, mixed_copy,
+    random_matrix,
+)
 
 
 def mat(rows, cols=None):
@@ -374,6 +379,57 @@ class TestMinorReferences:
                 minor, _ = contract_set(M, F)
                 keep = set(M.ground) - F
                 assert minor.cache_key() == explicit_minor_by_combinations(M, keep, F).cache_key()
+
+
+class TestIntegerRowMinors:
+    """Minors built on the integer rows a Subspace stores, against the
+    routes through a full elimination or the kernel, on integer and
+    Fraction input with zero rows, rank deficiency, n = 0 and r = 0."""
+
+    @given(any_matrices(), st.integers(0, 2 ** 32 - 1))
+    def test_cache_key_ignores_the_spanning_matrix(self, A, seed):
+        M = Matroid.from_matrix(A)
+        N = Matroid.from_matrix(mixed_copy(A, random.Random(seed)))
+        assert M.cache_key() == N.cache_key() == ("rref", A.cols, M.subspace.rows)
+        assert M._int_rows is M.subspace.rows
+
+    @given(any_matrices(), st.data())
+    def test_restrict_equals_projected_matrix(self, A, data):
+        n = A.cols
+        F = data.draw(st.sets(st.integers(1, n), max_size=n) if n else st.just(set()))
+        L = Subspace.from_matrix(A)
+        projected = Subspace.from_matrix(
+            A.column_submatrix([i - 1 for i in sorted(F)]))
+        sub, labels = restrict_subspace(L, F)
+        minor, minor_labels = restrict(Matroid.from_subspace(L), F)
+        assert sub == projected and minor.subspace == projected
+        assert labels == minor_labels == tuple(sorted(F))
+
+    @given(any_matrices(), st.data())
+    def test_contract_equals_kernel_route(self, A, data):
+        n = A.cols
+        I = data.draw(st.sets(st.integers(1, n), max_size=n) if n else st.just(set()))
+        L = Subspace.from_matrix(A)
+        reference = contract_subspace_by_kernel(L, I)
+        sub, labels = contract_subspace(L, I)
+        minor, minor_labels = contract_set(Matroid.from_subspace(L), I)
+        assert sub == reference and minor.subspace == reference
+        assert labels == minor_labels == tuple(e for e in range(1, n + 1) if e not in I)
+
+    @given(any_matrices(max_rows=4, max_cols=7))
+    def test_score_count_dc_matches_chi(self, A):
+        M = Matroid.from_matrix(A)
+        E = _explicit_copy(M)
+        for d in (1, 2, 3, 4):
+            assert score_count_dc(M, d) == score_count(M, d) == score_count_dc(E, d)
+
+    def test_bad_subset_rejected(self):
+        M = Matroid.from_matrix(mat([[1, 2, 3]]))
+        for minor in (restrict, contract_set):
+            with pytest.raises(ValueError):
+                minor(M, [4])
+            with pytest.raises(ValueError):
+                minor(_explicit_copy(M), [0])
 
 
 class TestLoopsColoops:

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mldeg.mldegree
 import pytest
 
 from mldeg import (
@@ -180,6 +181,23 @@ class TestStratification:
         for M in corpus_upto(6, loopless=True)[:30]:
             for d in (1, 2, 3):
                 assert verify_stratification(M, d).holds
+
+    def test_per_flat_terms_computed_once(self, monkeypatch):
+        # chi(M|F) and |mu(M/F)| do not depend on d, so checking several
+        # exponents runs the per-flat recursions once.
+        calls = []
+        terms = mldeg.mldegree.flat_minor_terms
+
+        def counted(M):
+            calls.append(M)
+            return terms(M)
+
+        monkeypatch.setattr(mldeg.mldegree, "flat_minor_terms", counted)
+        M = k4_matroid()
+        N = Matroid.from_subspace(M.subspace)
+        reports = [verify_stratification(N, d) for d in (1, 2, 3, 2)]
+        assert len(calls) == 1 and all(r.holds for r in reports)
+        assert reports[1] == reports[3] == verify_stratification(M, 2)
 
     def test_accepts_subspace_input(self):
         L = Subspace.from_matrix(mat([[1, 0, 1], [0, 1, 1]]))

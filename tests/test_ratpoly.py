@@ -136,3 +136,7 @@ class TestBiPoly:
     @given(bipolys)
     def test_scale_matches_repeated_add(self, p):
         assert p.scale(3) == p + p + p
+
+    @given(bipolys, st.integers(0, 3), st.integers(0, 3))
+    def test_shift_is_product_with_monomial(self, p, i, j):
+        assert p.shift(i, j) == p * BiPoly({(i, j): 1})
