@@ -19,11 +19,11 @@ point is a genuine torus solution and t is determined by x (A has full row
 rank), so the dimension of the quotient ring counts exactly the solutions
 of the system, with multiplicity.
 
-The Groebner engine is a plain Buchberger loop in graded reverse
-lexicographic order with variable precedence x_1 < ... < x_n < t_1 < ... <
-t_r, the coprimality and chain criteria, content-normalized intermediate
-polynomials, and hard resource caps (Buchberger is doubly exponential in
-the worst case; the caps turn runaway inputs into a clean error).
+The Groebner engine is a Buchberger loop in graded reverse lexicographic
+order with variable precedence x_1 < ... < x_n < t_1 < ... < t_r, sugar pair
+selection with the Gebauer-Moeller criteria, content-normalized intermediate
+polynomials, hard resource caps and a reduction budget (Buchberger is doubly
+exponential in the worst case; the caps turn runaway inputs into a clean error).
 
 Reduction runs on integers.  Fractions appear only in `MPoly` input and
 output: each polynomial is cleared of denominators on entry, and one
@@ -240,10 +240,12 @@ def random_generic_s(n: int, seed: int, bound: int = 10 ** 6) -> tuple[Fraction,
 
 @dataclass(frozen=True)
 class SolverLimits:
-    """Hard caps that turn a runaway basis computation into CapacityError."""
+    """Hard caps that turn a runaway basis computation into CapacityError;
+    max_reductions counts S-polynomials reduced (251 at most in OracleCaps)."""
 
     max_basis_size: int = 600
     max_total_degree: int = 80
+    max_reductions: int = 300
 
 
 def _integral(p: MPoly) -> tuple[dict[Exponent, int], int]:
@@ -415,10 +417,12 @@ def buchberger(source: PolySystem | Iterable[MPoly],
                limits: SolverLimits | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the input ideal in grevlex order.
 
-    Pair selection follows the normal strategy: smallest lcm by (total
-    degree, then lexicographic exponent comparison).  Pairs with coprime
-    lead monomials are skipped, as are pairs eliminated by the chain
-    criterion.  Exceeding the caps raises CapacityError with diagnostics.
+    Pair selection follows the sugar strategy: smallest (sugar, total degree
+    of the lcm, lcm), pair indices breaking ties.  The Gebauer-Moeller
+    update runs once per element as it joins (each input, then each new
+    remainder): it queues no coprime pair and no new pair whose lcm another
+    one divides, and drops the old pairs the new element makes redundant.
+    Exceeding the caps raises CapacityError with diagnostics.
     All inputs must share one number of variables (ValueError otherwise).
     """
     limits = limits or SolverLimits()
@@ -431,6 +435,7 @@ def buchberger(source: PolySystem | Iterable[MPoly],
     terms: list[dict] = []      # primitive integer term dicts
     lms: list[Exponent] = []
     lcs: list[int] = []
+    sugars: list[int] = []      # an input's total degree, else its pair's sugar
     for p in polys:
         t = _int_terms(p)
         if t:
@@ -438,40 +443,47 @@ def buchberger(source: PolySystem | Iterable[MPoly],
             terms.append(t)
             lms.append(lm)
             lcs.append(t[lm])
+            sugars.append(max(map(sum, t)))
     if not terms:
         return GroebnerBasis(num_vars, ())
 
-    def pair_key(i: int, j: int) -> tuple:
-        lcm = tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
-        return (sum(lcm), lcm)
+    def lcm(i: int, j: int) -> Exponent:
+        return tuple(map(max, lms[i], lms[j]))
 
-    # Pending pairs, as a heap in selection order and as a set for the
-    # chain criterion; a pair leaves both only when it is popped.
-    pairs = {(i, j) for j in range(len(terms)) for i in range(j)}
-    heap = [(pair_key(i, j), (i, j)) for i, j in pairs]
-    heapq.heapify(heap)
+    live: list[int] = []        # elements whose lead no later lead divides
+    heap: list[tuple] = []      # pending pairs (sugar, deg lcm, lcm, i, j)
+
+    def update(h: int) -> None:
+        lmh = lms[h]
+        new = [(g, lcm(g, h)) for g in live]
+        kept = []   # criteria M and F; a coprime pair drops others, is not queued
+        for pos, (g, m) in enumerate(new):
+            coprime = sum(m) == sum(lms[g]) + sum(lmh)
+            if coprime or not any(_divides(k, m) for _, k in new[pos + 1:]) \
+                    and not any(_divides(k, m) for _, k, _ in kept):
+                kept.append((g, m, coprime))
+        heap[:] = [q for q in heap if not _divides(lmh, q[2])  # criterion B_k
+                   or lcm(q[3], h) == q[2] or lcm(q[4], h) == q[2]]
+        heap.extend((max(sugars[g] - sum(lms[g]), sugars[h] - sum(lmh)) + sum(m),
+                     sum(m), m, g, h) for g, m, coprime in kept if not coprime)
+        heapq.heapify(heap)
+        live[:] = [g for g in live if not _divides(lmh, lms[g])] + [h]
+
+    for h in range(len(terms)):
+        update(h)
+    reduced = zeros = 0
     while heap:
-        _, (i, j) = heapq.heappop(heap)
-        pairs.remove((i, j))
-        lmi, lmj = lms[i], lms[j]
-        lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
-        if all(a + b == c for a, b, c in zip(lmi, lmj, lcm)):
-            continue  # coprime leads: the S-polynomial reduces to zero
-        skip = False
-        for k in range(len(terms)):
-            if k in (i, j):
-                continue
-            if _divides(lms[k], lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pairs and b not in pairs:
-                    skip = True  # chain criterion
-                    break
-        if skip:
-            continue
-        s = _int_s_poly(terms[i], lmi, lcs[i], terms[j], lmj, lcs[j])
+        sugar, _, _, i, j = heapq.heappop(heap)
+        if reduced == limits.max_reductions:
+            raise CapacityError(
+                f"S-polynomial budget {limits.max_reductions} exhausted: "
+                f"{reduced} pairs reduced, {zeros} to zero (basis size {len(terms)})"
+            )
+        reduced += 1
+        s = _int_s_poly(terms[i], lms[i], lcs[i], terms[j], lms[j], lcs[j])
         h, _ = _reduce(s, lms, lcs, terms)
         if not h:
+            zeros += 1
             continue
         hlm = max(h, key=_order_key)
         if sum(hlm) > limits.max_total_degree:
@@ -482,16 +494,14 @@ def buchberger(source: PolySystem | Iterable[MPoly],
         if len(terms) + 1 > limits.max_basis_size:
             raise CapacityError(
                 f"basis size exceeds cap {limits.max_basis_size} "
-                f"(pending pairs {len(pairs)})"
+                f"(pending pairs {len(heap)})"
             )
         h = _primitive(h, h[hlm])
         terms.append(h)
         lms.append(hlm)
         lcs.append(h[hlm])
-        new = len(terms) - 1
-        for k in range(new):
-            pairs.add((k, new))
-            heapq.heappush(heap, (pair_key(k, new), (k, new)))
+        sugars.append(sugar)
+        update(len(terms) - 1)
     return GroebnerBasis(num_vars, _reduced_basis(num_vars, terms, lms, lcs))
 
 

@@ -1,7 +1,10 @@
+import heapq
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mldeg import (
     CapacityError,
@@ -11,6 +14,7 @@ from mldeg import (
     NonGenericParameters,
     OracleCaps,
     QMatrix,
+    SolverLimits,
     Subspace,
     build_score_system,
     buchberger,
@@ -20,7 +24,19 @@ from mldeg import (
     score_count,
     uniform_matroid,
 )
-from mldeg.solver import _order_key, format_mpoly, variable_names
+import mldeg.solver as solver_module
+from mldeg.cli import random_uniform_matrix
+from mldeg.solver import (
+    _divides,
+    _int_s_poly,
+    _int_terms,
+    _order_key,
+    _primitive,
+    _reduce,
+    _reduced_basis,
+    format_mpoly,
+    variable_names,
+)
 
 
 def subspace(rows, cols=None):
@@ -67,6 +83,96 @@ def sympy_reduced_groebner(system):
         lc = terms[lead]
         out.append({e: c / lc for e, c in terms.items()})
     return sorted(out, key=lambda t: _order_key(max(t, key=_order_key)))
+
+
+def reference_buchberger(polys, limits=None) -> GroebnerBasis:
+    """Normal strategy and chain criterion: the pair loop the library used
+    before sugar selection and the Gebauer-Moeller update, kept as the
+    reference.  Pops the smallest lcm by (total degree, exponent tuple),
+    skips coprime leads, and skips a pair (i, j) when some lead divides its
+    lcm and both pairs through that element have already been treated."""
+    limits = limits or SolverLimits()
+    num_vars = polys[0].num_vars
+    terms, lms, lcs = [], [], []
+    for p in polys:
+        t = _int_terms(p)
+        if t:
+            terms.append(t)
+            lms.append(p.lead_monomial())
+            lcs.append(t[p.lead_monomial()])
+    if not terms:
+        return GroebnerBasis(num_vars, ())
+
+    def pair_key(i, j):
+        lcm = tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
+        return (sum(lcm), lcm)
+
+    pairs = {(i, j) for j in range(len(terms)) for i in range(j)}
+    heap = [(pair_key(i, j), (i, j)) for i, j in pairs]
+    heapq.heapify(heap)
+    while heap:
+        _, (i, j) = heapq.heappop(heap)
+        pairs.remove((i, j))
+        lmi, lmj = lms[i], lms[j]
+        lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
+        if all(a + b == c for a, b, c in zip(lmi, lmj, lcm)):
+            continue
+        if any(k not in (i, j) and _divides(lms[k], lcm)
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k in range(len(terms))):
+            continue
+        s = _int_s_poly(terms[i], lmi, lcs[i], terms[j], lmj, lcs[j])
+        h, _ = _reduce(s, lms, lcs, terms)
+        if not h:
+            continue
+        hlm = max(h, key=_order_key)
+        if sum(hlm) > limits.max_total_degree or len(terms) + 1 > limits.max_basis_size:
+            raise CapacityError("reference loop exceeded a cap")
+        h = _primitive(h, h[hlm])
+        terms.append(h)
+        lms.append(hlm)
+        lcs.append(h[hlm])
+        new = len(terms) - 1
+        for k in range(new):
+            pairs.add((k, new))
+            heapq.heappush(heap, (pair_key(k, new), (k, new)))
+    return GroebnerBasis(num_vars, _reduced_basis(num_vars, terms, lms, lcs))
+
+
+def two_conics():
+    x2, xy, y2, x, y, one = (2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)
+    return (MPoly(2, {x2: 2, y2: 1, x: -4, y: -4, one: 3}),
+            MPoly(2, {x2: 1, xy: 1, y2: 3, y: -12, one: 9}))
+
+
+def moment_curve_system():
+    """The moment-curve rows of U(2, 5) with d = 3 and seed-0 parameters:
+    the instance on which the normal strategy swelled coefficients."""
+    L = subspace([[1] * 5, [1, 2, 3, 4, 5]])
+    return build_score_system(L, random_generic_s(5, 0), 3)
+
+
+@st.composite
+def score_systems(draw):
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(1, min(2, n)))
+    grid = [[draw(st.integers(-5, 5)) for _ in range(n)] for _ in range(r)]
+    L = subspace(grid, cols=n)
+    if L.dim == 0:
+        L = subspace([[1] * n])
+    d = draw(st.integers(1, 3))
+    return build_score_system(L, random_generic_s(n, draw(st.integers(0, 10 ** 6))), d)
+
+
+@st.composite
+def small_polynomial_systems(draw):
+    """Dense low-degree systems, where many pairs share an lcm (criterion F)."""
+    nv = draw(st.integers(2, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * nv)
+    coeffs = st.dictionaries(exps, st.integers(-3, 3), min_size=1, max_size=4)
+    polys = [MPoly(nv, draw(coeffs)) for _ in range(draw(st.integers(1, 3)))]
+    return [p for p in polys if not p.is_zero()] or [MPoly(nv, {(1,) * nv: 1})]
 
 
 def as_term_dicts(gb: GroebnerBasis):
@@ -258,6 +364,65 @@ class TestBuchberger:
             n = 2
             r = 0
         assert as_term_dicts(gb) == sympy_reduced_groebner(FakeSystem())
+
+
+class TestPairStrategy:
+    @settings(max_examples=25)
+    @given(score_systems())
+    def test_matches_reference_on_score_systems(self, system):
+        assert buchberger(system) == reference_buchberger(system.equations)
+
+    @given(small_polynomial_systems())
+    def test_matches_reference_on_small_systems(self, polys):
+        assert buchberger(polys) == reference_buchberger(polys)
+
+    def test_matches_reference_on_two_conics(self):
+        polys = two_conics()
+        assert buchberger(polys) == reference_buchberger(polys)
+
+    def test_moment_curve_coefficient_swell_stays_small(self, monkeypatch):
+        # the normal strategy carried reduction scales of 77,981 bits here
+        widest = [0]
+
+        def recording_reduce(*args):
+            out = _reduce(*args)
+            widest[0] = max(widest[0], out[1].bit_length())
+            return out
+        monkeypatch.setattr(solver_module, "_reduce", recording_reduce)
+        gb = buchberger(moment_curve_system())
+        assert count_torus_solutions(gb) == score_count(uniform_matroid(5, 2), 3)
+        assert 0 < widest[0] <= 4000
+
+
+class TestReductionBudget:
+    def count_reductions(self, monkeypatch, system):
+        calls = [0]
+
+        def counting_s_poly(*args):
+            calls[0] += 1
+            return _int_s_poly(*args)
+        monkeypatch.setattr(solver_module, "_int_s_poly", counting_s_poly)
+        gb = buchberger(system)
+        return gb, calls[0]
+
+    def test_budget_is_exact(self, monkeypatch):
+        L = subspace([[1, 0, 2, -1], [0, 1, 3, 5]])
+        system = build_score_system(L, random_generic_s(4, 17), 2)
+        gb, used = self.count_reductions(monkeypatch, system)
+        assert used > 2
+        assert buchberger(system, SolverLimits(max_reductions=used)) == gb
+        with pytest.raises(CapacityError, match=(
+                rf"S-polynomial budget {used - 1} exhausted: {used - 1} pairs "
+                r"reduced, \d+ to zero \(basis size \d+\)")):
+            buchberger(system, SolverLimits(max_reductions=used - 1))
+
+    def test_default_budget_admits_the_heaviest_in_cap_shape(self, monkeypatch):
+        # (4, 3, 3) needs the most reductions of the shapes that finish
+        L = Subspace.from_matrix(random_uniform_matrix(4, 3, 0))
+        system = build_score_system(L, random_generic_s(4, 0), 3)
+        gb, used = self.count_reductions(monkeypatch, system)
+        assert used == 251 < SolverLimits().max_reductions
+        assert count_torus_solutions(gb) == score_count(uniform_matroid(4, 3), 3)
 
 
 class TestCounting:
