@@ -40,7 +40,10 @@ from .matroids import (
     uniform_matroid,
 )
 from .mldegree import (
+    CapacityError,
+    CertificationError,
     MLDegreeReport,
+    OracleCaps,
     RmldOneReport,
     StratificationReport,
     classify_rmld_one,
@@ -54,22 +57,36 @@ from .mldegree import (
     verify_stratification,
 )
 from .ratpoly import BiPoly, Rational, UniPoly, format_rational, parse_rational
-from .solver import (
-    CapacityError,
-    CertificationError,
-    GroebnerBasis,
-    MPoly,
-    NonGenericParameters,
-    OracleCaps,
-    PolySystem,
-    SolveReport,
-    SolverLimits,
-    build_score_system,
-    buchberger,
-    count_torus_solutions,
-    oracle_score_count,
-    random_generic_s,
+
+# The Groebner solver loads on first use of one of its names (PEP 562), so
+# that a process that solves nothing never compiles or imports it.
+_SOLVER_NAMES = (
+    "GroebnerBasis",
+    "MPoly",
+    "NonGenericParameters",
+    "PolySystem",
+    "SolveReport",
+    "SolverLimits",
+    "build_score_system",
+    "buchberger",
+    "count_torus_solutions",
+    "oracle_score_count",
+    "random_generic_s",
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["solver", *_SOLVER_NAMES])
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "solver" or name in _SOLVER_NAMES:
+        from importlib import import_module
+
+        solver = import_module(".solver", __name__)
+        return solver if name == "solver" else getattr(solver, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

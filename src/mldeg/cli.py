@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from itertools import combinations
 
 from .invariants import compute_invariants, mobius_invariant
 from .linalg import QMatrix
-from .matroids import Matroid, matroid_from_json_dict, uniform_matroid
+from .matroids import Matroid, check_bases, matroid_from_json_dict, uniform_matroid
 from .mldegree import (
+    CapacityError,
+    CertificationError,
+    OracleCaps,
     ml_degree_report,
     mld,
     rmld,
@@ -28,12 +30,6 @@ from .mldegree import (
     uniform_rmld,
     uniform_tutte,
     verify_stratification,
-)
-from .solver import (
-    CapacityError,
-    CertificationError,
-    OracleCaps,
-    oracle_score_count,
 )
 
 EXIT_OK = 0
@@ -108,9 +104,12 @@ def _load_matroid(path: str) -> Matroid:
             f"{exc.msg}"
         ) from exc
     try:
-        return matroid_from_json_dict(data)
+        M = matroid_from_json_dict(data)
+        if not M.is_realized:
+            check_bases(M)
     except ValueError as exc:
         raise UsageError(f"bad input in {path}: {exc}") from exc
+    return M
 
 
 def _emit(payload: dict, args, table_lines=None) -> None:
@@ -213,7 +212,12 @@ def _verify_checks(M: Matroid, ds: list[int], seed: int) -> list[dict]:
                 add("solver", "skip", "no realization available", d=d)
             else:
                 try:
-                    solved = oracle_score_count(M.subspace, d, seed)
+                    # Refuse an over-cap instance before the solver loads.
+                    caps = OracleCaps.from_env()
+                    caps.check(M.subspace.ambient_n, M.subspace.dim, d)
+                    from .solver import oracle_score_count
+
+                    solved = oracle_score_count(M.subspace, d, seed, caps)
                     add("solver",
                         "pass" if solved.count == solved.predicted else "fail",
                         f"count {solved.count}, predicted {solved.predicted}, "
@@ -254,6 +258,8 @@ def _cmd_oracle(args) -> int:
         raise UsageError("oracle needs a matrix input (a realization)")
     if args.d < 1:
         raise UsageError("--d must be at least 1")
+    from .solver import oracle_score_count
+
     report = oracle_score_count(M.subspace, args.d, args.seed)
     payload = report.to_json_dict()
     payload["matches"] = report.count == report.predicted
@@ -297,6 +303,8 @@ def random_uniform_matrix(n: int, r: int, seed: int,
                           max_attempts: int = 1000) -> QMatrix:
     """An r x n integer matrix with entries in [-100, 100] whose column
     matroid is U_{r,n}; resamples whole matrices until uniformity holds."""
+    import random
+
     rng = random.Random(seed)
     for _ in range(max_attempts):
         grid = [[rng.randint(-100, 100) for _ in range(n)] for _ in range(r)]

@@ -46,12 +46,11 @@ through the view recursions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .linalg import _bareiss_echelon, _pivot
 from .matroids import Matroid, flats
-from .ratpoly import BiPoly, UniPoly
+from .ratpoly import BiPoly, UniPoly, _frozen
 
 
 def _indices(mask: int) -> list[int]:
@@ -350,7 +349,7 @@ def _poincare_from_chi(chi: UniPoly, r: int) -> UniPoly:
     return UniPoly(rev)
 
 
-@dataclass(frozen=True)
+@_frozen
 class InvariantReport:
     n: int
     rank: int

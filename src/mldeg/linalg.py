@@ -19,16 +19,15 @@ lived at ambient index labels[k-1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .ratpoly import format_rational, parse_rational
+from .ratpoly import _frozen, format_rational, parse_rational
 
 
-@dataclass(frozen=True)
+@_frozen
 class QMatrix:
     """Immutable rows x cols matrix of Fractions (row-major)."""
 
@@ -229,7 +228,7 @@ def rref(A: QMatrix) -> QMatrix:
     return Subspace.from_matrix(A).basis
 
 
-@dataclass(frozen=True)
+@_frozen
 class Subspace:
     """A linear subspace of C^n stored by the primitive integer rows of the
     rref of its row span; equality of subspaces is equality of the rows."""
@@ -237,11 +236,23 @@ class Subspace:
     ambient_n: int
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.ambient_n < 0:
+    # Written out, not left to _frozen: every restriction and contraction
+    # builds a Subspace, and the generic __init__, == and hash are slower.
+    def __init__(self, ambient_n: int, rows: tuple[tuple[int, ...], ...]):
+        if ambient_n < 0:
             raise ValueError("ambient dimension must be nonnegative")
-        if any(len(row) != self.ambient_n for row in self.rows):
+        if any(len(row) != ambient_n for row in rows):
             raise ValueError("row length inconsistent with ambient dimension")
+        object.__setattr__(self, "ambient_n", ambient_n)
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.ambient_n == other.ambient_n and self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ambient_n, self.rows))
 
     @property
     def dim(self) -> int:

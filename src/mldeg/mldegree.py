@@ -13,13 +13,17 @@ d^r T(1 - 1/d, 0) = (-d)^r chi(1/d), the count is also a Tutte evaluation.
 score_count_dc recomputes the same number by deletion-contraction on
 explicitly built minors, which gives an independent route used in the
 verification suite.  All degrees are zero as soon as the matroid has a loop.
+
+The size caps of the exact solver (`OracleCaps`) and its two errors live
+here, not in `mldeg.solver`: a caller can refuse an over-cap instance, or
+catch the errors, without loading the solver.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Union
+import os
+from typing import Iterable, Sequence, Union
 
 from .invariants import char_poly, flat_minor_terms, mobius_invariant
 from .linalg import Subspace
@@ -30,7 +34,7 @@ from .matroids import (
     is_partition_matroid,
     restrict,
 )
-from .ratpoly import BiPoly, UniPoly
+from .ratpoly import BiPoly, UniPoly, _frozen
 
 MatroidLike = Union[Matroid, Subspace]
 
@@ -154,7 +158,7 @@ def uniform_rmld(n: int, r: int) -> int:
     return sum(_binom(n - i - 1, r - i) * 2 ** (r - i) for i in range(1, r + 1))
 
 
-@dataclass(frozen=True)
+@_frozen
 class FlatContribution:
     flat: tuple[int, ...]
     count: int          # score count of the restriction to the flat
@@ -168,7 +172,7 @@ class FlatContribution:
         }
 
 
-@dataclass(frozen=True)
+@_frozen
 class StratificationReport:
     d: int
     lhs: int
@@ -233,7 +237,7 @@ def verify_stratification(L: MatroidLike, d: int) -> StratificationReport:
     )
 
 
-@dataclass(frozen=True)
+@_frozen
 class RmldOneReport:
     """The four equivalent ways a model can have reciprocal ML degree 1."""
 
@@ -278,7 +282,7 @@ def classify_rmld_one(M: MatroidLike) -> RmldOneReport:
     return report
 
 
-@dataclass(frozen=True)
+@_frozen
 class MLDegreeReport:
     d: int
     value: int
@@ -305,3 +309,51 @@ def ml_degree_report(M: MatroidLike, d: int = 2) -> MLDegreeReport:
         mld=mld(M),
         method="formula",
     )
+
+
+# -- solver caps and errors ---------------------------------------------------
+
+
+class CapacityError(RuntimeError):
+    """A resource cap was exceeded; carries partial diagnostics."""
+
+
+class CertificationError(RuntimeError):
+    """The solver count disagreed with the prediction across all retries."""
+
+    def __init__(self, message: str, seeds: Sequence[int], predicted: int):
+        super().__init__(message)
+        self.seeds = tuple(seeds)
+        self.predicted = predicted
+
+
+@_frozen
+class OracleCaps:
+    """Desk-scale size limits for end-to-end certification runs."""
+
+    max_n: int = 5
+    max_r: int = 3
+    max_d: int = 3
+
+    @classmethod
+    def from_env(cls) -> "OracleCaps":
+        raw = os.environ.get("MLDEG_MAX_N")
+        if raw is None:
+            return cls()
+        try:
+            max_n = int(raw)
+        except ValueError:
+            max_n = 0
+        if max_n < 1:
+            raise ValueError(f"MLDEG_MAX_N must be a positive integer, got {raw!r}")
+        return cls(max_n=max_n)
+
+    def check(self, n: int, r: int, d: int) -> None:
+        """Raise CapacityError unless a subspace of dimension r in C^n with
+        exponent d is inside the caps."""
+        if n > self.max_n or r > self.max_r or d > self.max_d:
+            raise CapacityError(
+                f"instance (n={n}, r={r}, d={d}) exceeds caps "
+                f"(n<={self.max_n}, r<={self.max_r}, d<={self.max_d}); "
+                "set MLDEG_MAX_N to raise the size cap"
+            )

@@ -13,12 +13,15 @@ Two polynomial types live here:
   BiPoly  -- sparse bivariate, a map (i, j) -> int for the coefficient of
              x^i y^j.  Tutte polynomials are sparse inside their exponent box.
 
-Both are immutable; instances can be shared freely between threads.
+Both are immutable; instances can be shared freely between threads.  The
+value classes of the other modules (matrices, subspaces, reports) get the
+same immutability from the `_frozen` class decorator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Mapping, Union
 
 Rational = Fraction
@@ -310,3 +313,83 @@ class BiPoly:
             i, j, c = entry
             terms[(int(i), int(j))] = terms.get((int(i), int(j)), 0) + int(str(c))
         return cls(terms)
+
+
+def _frozen(cls):
+    """Class decorator for an immutable value class with annotated fields.
+
+    It stands in for a frozen dataclass without the cost of creating one at
+    import.  The annotated names, in order, are the fields; a class attribute
+    of the same name is the field's default.  The class gets:
+
+      - construction by position or keyword, with defaults, followed by
+        `__post_init__` when the class defines one;
+      - `==` that holds only between instances of the same class and
+        compares the field tuples, and the matching `hash`;
+      - `repr` in the form Name(field=value, ...);
+      - an AttributeError on assignment or deletion.
+
+    A method the class body defines itself is kept, as a dataclass keeps it.
+    Instances keep a `__dict__`, so `functools.cached_property` still works.
+    """
+    fields = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+    key = attrgetter(*fields)
+    post = getattr(cls, "__post_init__", None)
+    store = object.__setattr__
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(fields):
+            args = _bind(cls, fields, defaults, args, kwargs)
+        for name, value in zip(fields, args):
+            store(self, name, value)
+        if post is not None:
+            post(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
+        return f"{cls.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        if method.__name__ not in cls.__dict__:
+            method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+            setattr(cls, method.__name__, method)
+    return cls
+
+
+def _bind(cls, fields: tuple, defaults: dict, args: tuple, kwargs: dict) -> list:
+    """Field values of a `_frozen` class from arguments given by keyword,
+    given too few or too many, or left to their defaults."""
+    name = cls.__qualname__
+    if len(args) > len(fields):
+        raise TypeError(f"{name}() takes {len(fields)} positional arguments "
+                        f"but {len(args)} were given")
+    for field in fields[:len(args)]:
+        if field in kwargs:
+            raise TypeError(f"{name}() got multiple values for argument {field!r}")
+    values = list(args)
+    for field in fields[len(args):]:
+        if field in kwargs:
+            values.append(kwargs.pop(field))
+        elif field in defaults:
+            values.append(defaults[field])
+        else:
+            raise TypeError(f"{name}() missing required argument {field!r}")
+    if kwargs:
+        raise TypeError(f"{name}() got an unexpected keyword argument "
+                        f"{next(iter(kwargs))!r}")
+    return values

@@ -29,41 +29,30 @@ Reduction runs on integers.  Fractions appear only in `MPoly` input and
 output: each polynomial is cleared of denominators on entry, and one
 fraction-free loop (`_reduce`) serves S-polynomial reduction, the final
 interreduction and `GroebnerBasis.normal_form`.
+
+`OracleCaps`, `CapacityError` and `CertificationError` are defined in
+`mldeg.mldegree`, so that the CLI can refuse an over-cap instance without
+importing this module, and are re-exported here.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
 from .linalg import QMatrix, Subspace
 from .matroids import Matroid
-from .mldegree import score_count
-from .ratpoly import format_rational
+from .mldegree import CapacityError, CertificationError, OracleCaps, score_count
+from .ratpoly import _frozen, format_rational
 
 Exponent = tuple[int, ...]
 
 
-class CapacityError(RuntimeError):
-    """A resource cap was exceeded; carries partial diagnostics."""
-
-
 class NonGenericParameters(RuntimeError):
     """The ideal is not zero-dimensional: the sampled s was not generic."""
-
-
-class CertificationError(RuntimeError):
-    """The solver count disagreed with the prediction across all retries."""
-
-    def __init__(self, message: str, seeds: Sequence[int], predicted: int):
-        super().__init__(message)
-        self.seeds = tuple(seeds)
-        self.predicted = predicted
 
 
 def _order_key(e: Exponent) -> tuple:
@@ -158,7 +147,7 @@ def format_mpoly(p: MPoly, names: Sequence[str]) -> str:
 # -- the score system --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_frozen
 class PolySystem:
     """The n + r score equations for (L, s, d) in n + r variables."""
 
@@ -238,7 +227,7 @@ def random_generic_s(n: int, seed: int, bound: int = 10 ** 6) -> tuple[Fraction,
 # -- Buchberger ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_frozen
 class SolverLimits:
     """Hard caps that turn a runaway basis computation into CapacityError;
     max_reductions counts S-polynomials reduced (251 at most in OracleCaps)."""
@@ -358,7 +347,7 @@ def _int_s_poly(ft: dict, flm: Exponent, flc: int,
     return out
 
 
-@dataclass(frozen=True)
+@_frozen
 class GroebnerBasis:
     """Reduced Groebner basis: monic generators, no term of any generator
     divisible by the lead of another, sorted by increasing lead monomial.
@@ -552,29 +541,7 @@ def count_torus_solutions(gb: GroebnerBasis) -> int:
 # -- end-to-end oracle --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleCaps:
-    """Desk-scale size limits for end-to-end certification runs."""
-
-    max_n: int = 5
-    max_r: int = 3
-    max_d: int = 3
-
-    @classmethod
-    def from_env(cls) -> "OracleCaps":
-        raw = os.environ.get("MLDEG_MAX_N")
-        if raw is None:
-            return cls()
-        try:
-            max_n = int(raw)
-        except ValueError:
-            max_n = 0
-        if max_n < 1:
-            raise ValueError(f"MLDEG_MAX_N must be a positive integer, got {raw!r}")
-        return cls(max_n=max_n)
-
-
-@dataclass(frozen=True)
+@_frozen
 class SolveReport:
     count: int
     predicted: int
@@ -613,12 +580,7 @@ def oracle_score_count(L: Subspace, d: int, seed: int,
     if d < 1:
         raise ValueError("exponent d must be at least 1")
     n, r = L.ambient_n, L.dim
-    if n > caps.max_n or r > caps.max_r or d > caps.max_d:
-        raise CapacityError(
-            f"instance (n={n}, r={r}, d={d}) exceeds caps "
-            f"(n<={caps.max_n}, r<={caps.max_r}, d<={caps.max_d}); "
-            "set MLDEG_MAX_N to raise the size cap"
-        )
+    caps.check(n, r, d)
     predicted = score_count(Matroid.from_subspace(L), d)
     attempted: list[int] = []
     mismatches: list[int] = []

@@ -1,7 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import mldeg
 
 from mldeg import uniform_rmld
 from mldeg.cli import (
@@ -115,6 +121,8 @@ class TestScoreCountAndRmld:
         {"rows": 1, "cols": 2.0, "entries": [["1", "2"]]},
         {"rows": "1", "cols": "2", "entries": [["1", "2"]]},
         {"matrix": {"rows": 1, "cols": False, "entries": [[]]}},
+        {"n": 4, "bases": [[1, 2], [3, 4]]},
+        {"n": 3, "bases": [[1, 2], [1, 2], [2, 3]]},
     ])
     def test_malformed_json_is_a_usage_error(self, tmp_path, capsys, payload):
         path = write_json(tmp_path, "m.json", payload)
@@ -263,3 +271,46 @@ class TestUsage:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "invariants", "--input", "/nonexistent.json")
         assert code == EXIT_USAGE
+
+
+class TestColdStart:
+    """Each case runs in a fresh interpreter: which modules a command loads
+    decides how fast the CLI starts."""
+
+    HEAVY = ("mldeg.solver", "dataclasses", "inspect")
+
+    @classmethod
+    def loaded_after(cls, code: str, *argv: str) -> list[str]:
+        """The HEAVY modules loaded once `code` has run with sys.argv[1:] = argv."""
+        env = {k: v for k, v in os.environ.items() if k != "MLDEG_MAX_N"}
+        env["PYTHONPATH"] = str(Path(mldeg.__file__).resolve().parents[1])
+        probe = (f"{code}\nimport json, sys\n"
+                 f"print(json.dumps([m for m in {cls.HEAVY!r} if m in sys.modules]))")
+        run = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        return json.loads(run.stdout.splitlines()[-1])
+
+    @classmethod
+    def loaded_by_cli(cls, *argv: str) -> list[str]:
+        code = ("import sys, mldeg.cli\n"
+                "assert mldeg.cli.main(sys.argv[1:]) == 0")
+        return cls.loaded_after(code, *argv)
+
+    def test_import_loads_no_heavy_module(self):
+        assert self.loaded_after("import mldeg.cli") == []
+        assert self.loaded_after("import mldeg") == []
+
+    @pytest.mark.parametrize("argv", [
+        ["rmld"], ["score-count", "--d", "3"], ["invariants"], ["verify"],
+    ])
+    def test_commands_that_solve_nothing_skip_the_solver(self, tmp_path, argv):
+        # n = 6 is over the default cap n <= 5, so verify skips every solve.
+        path = write_json(tmp_path, "m.json",
+                          random_uniform_matrix(6, 3, 0).to_json_dict())
+        assert self.loaded_by_cli(*argv, "--input", path) == []
+
+    @pytest.mark.parametrize("argv", [["oracle", "--d", "2"], ["verify", "--d", "2"]])
+    def test_solving_commands_load_the_solver(self, tmp_path, argv):
+        path = write_json(tmp_path, "m.json", GENERIC_2X3)
+        assert "mldeg.solver" in self.loaded_by_cli(*argv, "--input", path)

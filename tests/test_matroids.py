@@ -25,6 +25,7 @@ from mldeg import (
     score_count_dc,
     uniform_matroid,
 )
+from mldeg.matroids import check_bases
 from conftest import (
     _explicit_copy, any_matrices, corpus, corpus_upto, k4_matroid, mixed_copy,
     random_matrix,
@@ -497,3 +498,65 @@ class TestJson:
             matroid_from_json_dict({"something": 1})
         with pytest.raises(ValueError):
             matroid_from_json_dict({"bases": [[1]]})
+
+
+def _is_basis_family(n, family):
+    """Reference: distinct equal-size sets are the bases of a matroid exactly
+    when S -> max |S & B| over the family is submodular; that map is then
+    the rank function, and its bases are the family."""
+    masks = [sum(1 << (e - 1) for e in b) for b in family]
+    if len(set(masks)) != len(masks):
+        return False
+    rank = [max(bin(s & b).count("1") for b in masks) for s in range(1 << n)]
+    return all(rank[s | t] + rank[s & t] <= rank[s] + rank[t]
+               for s in range(1 << n) for t in range(s + 1, 1 << n))
+
+
+@st.composite
+def bases_lists(draw):
+    """Equal-size subsets of {1..n}, n <= 5: the bases of a realized matroid
+    with a few removed, added or repeated, or an arbitrary family."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(0, n))
+    pool = [list(c) for c in combinations(range(1, n + 1), r)]
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 10 ** 6))
+        M = Matroid.from_matrix(random_matrix(random.Random(seed), n, max(r, 1)))
+        family = [sorted(b) for b in M.bases()]
+        for _ in range(draw(st.integers(0, 2))):
+            op = draw(st.sampled_from(["drop", "add", "repeat"]))
+            k = len(family[0])
+            if op == "drop" and len(family) > 1:
+                family.pop(draw(st.integers(0, len(family) - 1)))
+            elif op == "add":
+                extra = [list(c) for c in combinations(range(1, n + 1), k)
+                         if list(c) not in family]
+                if extra:
+                    family.append(draw(st.sampled_from(extra)))
+            elif op == "repeat":
+                family.append(draw(st.sampled_from(family)))
+        return n, family
+    family = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool) + 1))
+    return n, family
+
+
+class TestCheckBases:
+    @given(bases_lists())
+    def test_agrees_with_submodular_rank(self, case):
+        n, family = case
+        M = Matroid.from_bases(n, family)
+        if _is_basis_family(n, family):
+            check_bases(M)
+        else:
+            with pytest.raises(ValueError):
+                check_bases(M)
+
+    def test_every_explicit_copy_in_the_corpus_passes(self):
+        for M in corpus_upto(8):
+            check_bases(_explicit_copy(M))
+
+    def test_messages_name_the_fault(self):
+        with pytest.raises(ValueError, match=r"\[1, 2\] and \[3, 4\] violate basis exchange"):
+            check_bases(Matroid.from_bases(4, [[1, 2], [3, 4]]))
+        with pytest.raises(ValueError, match=r"basis \[1, 2\] is listed more than once"):
+            check_bases(Matroid.from_bases(3, [[1, 2], [2, 3], [2, 1]]))
