@@ -202,7 +202,10 @@ def tutte(M: Matroid) -> BiPoly:
         memo[key] = value
         return value
 
-    return view((1 << M.n) - 1, *views.start())
+    try:
+        return view((1 << M.n) - 1, *views.start())
+    finally:
+        del view    # view refers to itself; without it the memo is freed now
 
 
 def tutte_bruteforce(M: Matroid) -> BiPoly:
@@ -236,38 +239,48 @@ def tutte_bruteforce(M: Matroid) -> BiPoly:
 _T_MINUS_ONE = UniPoly((-1, 1))
 
 
-def _view_chi(views: _MaskViews | _RowViews
-              ) -> Callable[[int, int, object], UniPoly]:
-    """chi of the views of one matroid, memoized per returned function.
+class _ViewChi:
+    """chi of the views of one matroid, memoized per instance.
 
     chi(R, C, state) is the characteristic polynomial of the minor on the
-    elements R after contracting the flat C, whose state `views` gave.
+    elements R after contracting the flat C, whose state `views` gave.  It
+    recurses through the instance rather than through a closure that holds
+    itself, so the memo is freed with the last reference to `chi`, not by
+    the cyclic garbage collector.
     """
-    memo: dict[tuple[int, int], UniPoly] = {}
-    drop_parallel, contract, is_coloop = (
-        views.drop_parallel, views.contract, views.is_coloop)
 
-    def chi(R: int, C: int, state) -> UniPoly:
+    __slots__ = ("memo", "views")
+
+    def __init__(self, views: _MaskViews | _RowViews):
+        self.memo: dict[tuple[int, int], UniPoly] = {}
+        self.views = views
+
+    def chi(self, R: int, C: int, state) -> UniPoly:
         if R & C:
             return UniPoly.zero()
-        R = drop_parallel(R, C, state)
+        views = self.views
+        R = views.drop_parallel(R, C, state)
         if not R:
             return UniPoly.one()
         key = (R, C)
-        cached = memo.get(key)
+        cached = self.memo.get(key)
         if cached is not None:
             return cached
         e = R & -R
         rest = R ^ e
-        Ce, state_e = contract(C, state, e)
-        if is_coloop(R, C, state, e):
-            value = _T_MINUS_ONE * chi(rest, Ce, state_e)
+        Ce, state_e = views.contract(C, state, e)
+        if views.is_coloop(R, C, state, e):
+            value = _T_MINUS_ONE * self.chi(rest, Ce, state_e)
         else:
-            value = chi(rest, C, state) - chi(rest, Ce, state_e)
-        memo[key] = value
+            value = self.chi(rest, C, state) - self.chi(rest, Ce, state_e)
+        self.memo[key] = value
         return value
 
-    return chi
+
+def _view_chi(views: _MaskViews | _RowViews
+              ) -> Callable[[int, int, object], UniPoly]:
+    """chi of the views of one matroid, memoized per returned function."""
+    return _ViewChi(views).chi
 
 
 def char_poly(M: Matroid) -> UniPoly:

@@ -25,10 +25,19 @@ selection with the Gebauer-Moeller criteria, content-normalized intermediate
 polynomials, hard resource caps and a reduction budget (Buchberger is doubly
 exponential in the worst case; the caps turn runaway inputs into a clean error).
 
-Reduction runs on integers.  Fractions appear only in `MPoly` input and
-output: each polynomial is cleared of denominators on entry, and one
-fraction-free loop (`_reduce`) serves S-polynomial reduction, the final
-interreduction and `GroebnerBasis.normal_form`.
+Fractions and exponent tuples appear only in `MPoly` input and output.
+Inside, coefficients are integers: one fraction-free loop (`_reduce`) serves
+S-polynomial reduction, the final interreduction and
+`GroebnerBasis.normal_form`.  An exponent vector is one int (`_Monomials`):
+m + 1 fields of w bits, the total degree in the top field, then x_1 down to
+the last variable.  The top bit of each field is a guard that no exponent
+reaches (w is sized from the input degrees and
+`SolverLimits.max_total_degree`, for sums of two leads).  So a product is
+`a + b`, a quotient `b - a`, `a` divides `b` iff `(b - a) & guards == 0`
+(a field that borrows sets its guard), and `a ^ degree_mask` is a min-heap
+key for grevlex.  Each `buchberger` call keeps a first-divisor memo: for a
+monomial that was a lead in reduction, the number of basis elements known
+not to divide it, which stays true because the basis only grows at the end.
 
 `OracleCaps`, `CapacityError` and `CertificationError` are defined in
 `mldeg.mldegree`, so that the CLI can refuse an over-cap instance without
@@ -40,7 +49,7 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .linalg import QMatrix, Subspace
@@ -58,13 +67,44 @@ class NonGenericParameters(RuntimeError):
 def _order_key(e: Exponent) -> tuple:
     # grevlex with precedence increasing along the tuple: higher total
     # degree wins; on ties the monomial with the smaller exponent on the
-    # earliest (lowest-precedence) differing variable is larger.  Larger
-    # key = larger monomial; (-key[0], e) is the matching min-heap key.
+    # earliest (lowest-precedence) differing variable is larger.
     return (sum(e), tuple(-c for c in e))
 
 
-def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+class _Monomials:
+    """The packed exponent layout of one computation (see the module doc):
+    fields of `width` bits hold every total degree up to 2 * max_degree."""
+
+    __slots__ = ("num_vars", "width", "guards", "degree_mask", "_sum_up")
+
+    def __init__(self, num_vars: int, max_degree: int):
+        self.num_vars = num_vars
+        self.width = w = (2 * max_degree).bit_length() + 1
+        ones = sum(1 << k * w for k in range(num_vars + 1))
+        self.guards = ones << w - 1
+        self.degree_mask = (1 << w) - 1 << num_vars * w
+        self._sum_up = ones - 1     # x * _sum_up holds the sum of x's fields in the top one
+
+    def pack(self, e: Exponent) -> int:
+        x = sum(e)
+        for c in e:
+            x = x << self.width | c
+        return x
+
+    def unpack(self, x: int) -> Exponent:
+        w = self.width
+        return tuple(x >> k * w & (1 << w) - 1 for k in range(self.num_vars - 1, -1, -1))
+
+    def degree(self, x: int) -> int:
+        return x >> self.num_vars * self.width
+
+    def lcm(self, a: int, b: int) -> int:
+        # each field of t is guard + b_i - a_i, so no borrow crosses fields
+        # and a guard survives where b_i >= a_i; up keeps those b_i - a_i
+        t = (b | self.guards) - a
+        keep = t & self.guards
+        up = t & (keep - (keep >> self.width - 1)) & ~self.degree_mask
+        return a + up + (up * self._sum_up & self.degree_mask)
 
 
 class MPoly:
@@ -169,8 +209,7 @@ class PolySystem:
 
 def build_score_system(L: Subspace, s: Sequence, d: int) -> PolySystem:
     """Encode the score equations for the subspace L with parameters s."""
-    n = L.ambient_n
-    r = L.dim
+    n, r = L.ambient_n, L.dim
     if r < 1:
         raise ValueError("the subspace must have dimension at least 1")
     svec = tuple(Fraction(v) for v in s)
@@ -178,35 +217,22 @@ def build_score_system(L: Subspace, s: Sequence, d: int) -> PolySystem:
         raise ValueError(f"expected {n} parameters, got {len(svec)}")
     if d < 1:
         raise ValueError("exponent d must be at least 1")
-    A = L.basis.entries
-    m = n + r
-    equations: list[MPoly] = []
-    for i in range(n):
-        terms: dict[Exponent, Fraction] = {}
-        for j in range(r):
-            a = A[j][i]
-            if a:
-                e = [0] * m
-                e[i] = 1
-                e[n + j] = 1
-                terms[tuple(e)] = a
-        zero = (0,) * m
-        terms[zero] = terms.get(zero, Fraction(0)) - 1
-        equations.append(MPoly(m, terms))
+    A, m = L.basis.entries, n + r
+
+    def monomial(*powers: tuple[int, int]) -> Exponent:  # (variable, exponent)
+        e = [0] * m
+        for v, k in powers:
+            e[v] = k
+        return tuple(e)
+
+    # MPoly drops the zero coefficients
+    equations = [MPoly(m, {**{monomial((i, 1), (n + j, 1)): A[j][i] for j in range(r)},
+                           monomial(): -1}) for i in range(n)]
     for i in range(r):
-        terms = {}
+        terms: dict[Exponent, Fraction] = {}
         for j in range(n):
-            a = A[i][j]
-            if not a:
-                continue
-            e_high = [0] * m
-            e_high[j] = d
-            key = tuple(e_high)
-            terms[key] = terms.get(key, Fraction(0)) + a * svec[j]
-            e_low = [0] * m
-            e_low[j] = 1
-            key = tuple(e_low)
-            terms[key] = terms.get(key, Fraction(0)) - a
+            for e, c in ((monomial((j, d)), A[i][j] * svec[j]), (monomial((j, 1)), -A[i][j])):
+                terms[e] = terms.get(e, 0) + c
         equations.append(MPoly(m, terms))
     return PolySystem(n=n, r=r, d=d, matrix=L.basis, s=svec,
                       equations=tuple(equations))
@@ -239,17 +265,13 @@ class SolverLimits:
 
 def _integral(p: MPoly) -> tuple[dict[Exponent, int], int]:
     """p times the lcm of its denominators, and that lcm."""
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in p.terms.values()))
     return {e: int(c * den) for e, c in p.terms.items()}, den
 
 
 def _primitive(t: dict[Exponent, int], lc: int) -> dict[Exponent, int]:
     """Divide out the content, signed like the lead coefficient lc."""
-    content = 0
-    for c in t.values():
-        content = gcd(content, c)
+    content = gcd(*t.values())
     if lc < 0:
         content = -content
     return t if content == 1 else {e: c // content for e, c in t.items()}
@@ -257,88 +279,77 @@ def _primitive(t: dict[Exponent, int], lc: int) -> dict[Exponent, int]:
 
 def _int_terms(p: MPoly) -> dict[Exponent, int]:
     """Clear denominators and the content; lead coefficient made positive."""
-    if p.is_zero():
-        return {}
     t, _ = _integral(p)
-    return _primitive(t, t[p.lead_monomial()])
+    return _primitive(t, t[p.lead_monomial()]) if t else t
 
 
-def _reduce(terms: dict[Exponent, int],
-            lms: Sequence[Exponent],
-            lcs: Sequence[int],
-            tails: Sequence[dict]) -> tuple[dict[Exponent, int], int]:
-    """Full remainder of an integer polynomial against integer divisors.
+def _reduce(terms: dict[int, int], lms: Sequence[int], lcs: Sequence[int], tails: Sequence[dict],
+            mono: _Monomials, first: dict[int, int]) -> tuple[dict[int, int], int]:
+    """Full remainder of a packed integer polynomial against integer divisors.
 
     Fraction-free: the working polynomial is rescaled by divisor leads as
     needed, so the result is (remainder, scale) with remainder equal to
     scale times the true remainder and scale > 0.  A lazy max-heap tracks
-    the current lead (stale entries are skipped on pop).
+    the current lead (stale entries are skipped on pop), which goes to its
+    first divisor in `lms`.  `first` maps a lead to the number of divisors
+    known not to divide it: calls whose `lms` extend one another share it.
     """
+    guards, flip = mono.guards, mono.degree_mask
     work = dict(terms)
-    heap = [(-sum(e), e) for e in work]
+    heap = [e ^ flip for e in work]
     heapq.heapify(heap)
-    remainder: dict[Exponent, int] = {}
+    remainder: dict[int, int] = {}
     scale = 1
+    count = len(lms)
     while heap:
-        _, lead = heapq.heappop(heap)
+        lead = heapq.heappop(heap) ^ flip
         coeff = work.get(lead)
         if not coeff:
             continue
-        for gi, glm in enumerate(lms):
-            if _divides(glm, lead):
-                glc = lcs[gi]
-                g0 = gcd(coeff, glc)
-                mult = abs(glc) // g0
-                if glc < 0:
-                    g0 = -g0
-                factor = coeff // g0
-                if mult != 1:
-                    for key in work:
-                        work[key] *= mult
-                    for key in remainder:
-                        remainder[key] *= mult
-                    scale *= mult
-                shift = tuple(a - b for a, b in zip(lead, glm))
-                for ge, gc in tails[gi].items():
-                    key = tuple(a + b for a, b in zip(ge, shift))
-                    old = work.get(key)
-                    if old is None:
-                        val = -factor * gc
-                        if val:
-                            work[key] = val
-                            heapq.heappush(heap, (-sum(key), key))
-                    else:
-                        val = old - factor * gc
-                        if val:
-                            work[key] = val
-                        else:
-                            del work[key]
-                break
-        else:
+        gi = first.get(lead, 0)
+        while gi < count and (lead - lms[gi]) & guards:
+            gi += 1
+        first[lead] = gi
+        if gi == count:
             remainder[lead] = coeff
             del work[lead]
+            continue
+        glc = lcs[gi]
+        g0 = gcd(coeff, glc) if glc > 0 else -gcd(coeff, glc)
+        mult, factor = glc // g0, coeff // g0
+        if mult != 1:
+            for key in work:
+                work[key] *= mult
+            for key in remainder:
+                remainder[key] *= mult
+            scale *= mult
+        shift = lead - lms[gi]
+        for ge, gc in tails[gi].items():
+            key = ge + shift
+            old = work.get(key)
+            if old is None:
+                work[key] = -factor * gc
+                heapq.heappush(heap, key ^ flip)
+            else:
+                val = old - factor * gc
+                if val:
+                    work[key] = val
+                else:
+                    del work[key]
     return remainder, scale
 
 
-def _int_s_poly(ft: dict, flm: Exponent, flc: int,
-                gt: dict, glm: Exponent, glc: int) -> dict[Exponent, int]:
-    """Cross-scaled S-polynomial of two integer polynomials.
-
-    A nonzero integer multiple of the textbook S-polynomial, which reduces
-    to zero exactly when the original does.
-    """
+def _int_s_poly(ft: dict, flm: int, flc: int,
+                gt: dict, glm: int, glc: int, lcm: int) -> dict[int, int]:
+    """Cross-scaled S-polynomial of two packed integer polynomials, given the
+    lcm of their leads: a nonzero integer multiple of the textbook one, which
+    reduces to zero exactly when that one does."""
     g0 = gcd(flc, glc)
-    lcm = tuple(max(a, b) for a, b in zip(flm, glm))
-    shift_f = tuple(a - b for a, b in zip(lcm, flm))
-    shift_g = tuple(a - b for a, b in zip(lcm, glm))
-    cf = glc // g0
-    cg = flc // g0
-    out: dict[Exponent, int] = {}
-    for e, c in ft.items():
-        key = tuple(a + b for a, b in zip(e, shift_f))
-        out[key] = cf * c
+    cf, cg = glc // g0, flc // g0
+    shift_f, shift_g = lcm - flm, lcm - glm
+    out = {e + shift_f: cf * c for e, c in ft.items()}
     for e, c in gt.items():
-        key = tuple(a + b for a, b in zip(e, shift_g))
+        key = e + shift_g
         val = out.get(key, 0) - cg * c
         if val:
             out[key] = val
@@ -368,18 +379,21 @@ class GroebnerBasis:
         if p.is_zero() or not self.generators:
             return p
         work, den = _integral(p)
-        tails = [_int_terms(g) for g in self.generators]
-        lms = self.lead_monomials()
+        gens = [_int_terms(g) for g in self.generators]
+        mono = _Monomials(p.num_vars, max(max(map(sum, t)) for t in [work, *gens]))
+        tails = [{mono.pack(e): c for e, c in t.items()} for t in gens]
+        lms = [mono.pack(lm) for lm in self.lead_monomials()]
         lcs = [t[lm] for t, lm in zip(tails, lms)]
-        remainder, scale = _reduce(work, lms, lcs, tails)
-        inv = Fraction(1, scale * den)
-        return MPoly(p.num_vars, {e: c * inv for e, c in remainder.items()})
+        work = {mono.pack(e): c for e, c in work.items()}
+        remainder, scale = _reduce(work, lms, lcs, tails, mono, {})
+        return MPoly(p.num_vars, {mono.unpack(e): Fraction(c, scale * den)
+                                  for e, c in remainder.items()})
 
     def lead_monomials(self) -> tuple[Exponent, ...]:
         return tuple(g.lead_monomial() for g in self.generators)
 
 
-def _reduced_basis(num_vars: int, terms: list[dict], lms: list[Exponent],
+def _reduced_basis(mono: _Monomials, terms: list[dict], lms: list[int],
                    lcs: list[int]) -> tuple[MPoly, ...]:
     """Minimal basis by lead divisibility, each member reduced by the others
     on its integer terms; monic MPolys are built once, at the end.
@@ -389,16 +403,16 @@ def _reduced_basis(num_vars: int, terms: list[dict], lms: list[Exponent],
     coefficient cancels the scale of each remainder.
     """
     keep: list[int] = []
-    for i in sorted(range(len(terms)), key=lambda i: _order_key(lms[i])):
-        if not any(_divides(lms[k], lms[i]) for k in keep):
+    for i in sorted(range(len(terms)), key=lambda i: -(lms[i] ^ mono.degree_mask)):
+        if all((lms[i] - lms[k]) & mono.guards for k in keep):
             keep.append(i)
     reduced = []
     for pos, i in enumerate(keep):
         others = keep[:pos] + keep[pos + 1:]
-        h, _ = _reduce(terms[i], [lms[k] for k in others],
-                       [lcs[k] for k in others], [terms[k] for k in others])
-        lc = h[lms[i]]
-        reduced.append(MPoly(num_vars, {e: Fraction(c, lc) for e, c in h.items()}))
+        h, _ = _reduce(terms[i], [lms[k] for k in others], [lcs[k] for k in others],
+                       [terms[k] for k in others], mono, {})
+        reduced.append(MPoly(mono.num_vars, {mono.unpack(e): Fraction(c, h[lms[i]])
+                                             for e, c in h.items()}))
     return tuple(reduced)
 
 
@@ -421,77 +435,66 @@ def buchberger(source: PolySystem | Iterable[MPoly],
     num_vars = polys[0].num_vars
     if any(p.num_vars != num_vars for p in polys):
         raise ValueError("all polynomials must have the same number of variables")
-    terms: list[dict] = []      # primitive integer term dicts
-    lms: list[Exponent] = []
-    lcs: list[int] = []
-    sugars: list[int] = []      # an input's total degree, else its pair's sugar
-    for p in polys:
-        t = _int_terms(p)
-        if t:
-            lm = p.lead_monomial()
-            terms.append(t)
-            lms.append(lm)
-            lcs.append(t[lm])
-            sugars.append(max(map(sum, t)))
-    if not terms:
+    inputs = [(p, t) for p in polys for t in [_int_terms(p)] if t]
+    if not inputs:
         return GroebnerBasis(num_vars, ())
-
-    def lcm(i: int, j: int) -> Exponent:
-        return tuple(map(max, lms[i], lms[j]))
+    sugars = [max(map(sum, t)) for _, t in inputs]  # else the sugar of its pair
+    # no lead passes this degree, so the fields hold lcms and sums of two leads
+    mono = _Monomials(num_vars, max(limits.max_total_degree, *sugars))
+    guards, degree, lcm_of = mono.guards, mono.degree, mono.lcm
+    terms = [{mono.pack(e): c for e, c in t.items()} for _, t in inputs]  # primitive
+    lms = [mono.pack(p.lead_monomial()) for p, _ in inputs]
+    lcs = [t[p.lead_monomial()] for p, t in inputs]
 
     live: list[int] = []        # elements whose lead no later lead divides
-    heap: list[tuple] = []      # pending pairs (sugar, deg lcm, lcm, i, j)
+    heap: list[tuple] = []      # pending pairs (sugar, lcm, i, j); lcm leads with its degree
 
     def update(h: int) -> None:
         lmh = lms[h]
-        new = [(g, lcm(g, h)) for g in live]
+        new = [(g, lcm_of(lms[g], lmh)) for g in live]
         kept = []   # criteria M and F; a coprime pair drops others, is not queued
         for pos, (g, m) in enumerate(new):
-            coprime = sum(m) == sum(lms[g]) + sum(lmh)
-            if coprime or not any(_divides(k, m) for _, k in new[pos + 1:]) \
-                    and not any(_divides(k, m) for _, k, _ in kept):
+            coprime = m == lms[g] + lmh
+            if coprime or all((m - k) & guards for _, k in new[pos + 1:]) \
+                    and all((m - k) & guards for _, k, _ in kept):
                 kept.append((g, m, coprime))
-        heap[:] = [q for q in heap if not _divides(lmh, q[2])  # criterion B_k
-                   or lcm(q[3], h) == q[2] or lcm(q[4], h) == q[2]]
-        heap.extend((max(sugars[g] - sum(lms[g]), sugars[h] - sum(lmh)) + sum(m),
-                     sum(m), m, g, h) for g, m, coprime in kept if not coprime)
+        heap[:] = [q for q in heap if (q[1] - lmh) & guards  # criterion B_k
+                   or lcm_of(lms[q[2]], lmh) == q[1] or lcm_of(lms[q[3]], lmh) == q[1]]
+        heap.extend((max(sugars[g] - degree(lms[g]), sugars[h] - degree(lmh)) + degree(m),
+                     m, g, h) for g, m, coprime in kept if not coprime)
         heapq.heapify(heap)
-        live[:] = [g for g in live if not _divides(lmh, lms[g])] + [h]
+        live[:] = [g for g in live if (lms[g] - lmh) & guards] + [h]
 
     for h in range(len(terms)):
         update(h)
+    first: dict[int, int] = {}  # the first-divisor memo of _reduce
     reduced = zeros = 0
     while heap:
-        sugar, _, _, i, j = heapq.heappop(heap)
+        sugar, pair_lcm, i, j = heapq.heappop(heap)
         if reduced == limits.max_reductions:
-            raise CapacityError(
-                f"S-polynomial budget {limits.max_reductions} exhausted: "
-                f"{reduced} pairs reduced, {zeros} to zero (basis size {len(terms)})"
-            )
+            raise CapacityError(f"S-polynomial budget {limits.max_reductions} exhausted: "
+                                f"{reduced} pairs reduced, {zeros} to zero "
+                                f"(basis size {len(terms)})")
         reduced += 1
-        s = _int_s_poly(terms[i], lms[i], lcs[i], terms[j], lms[j], lcs[j])
-        h, _ = _reduce(s, lms, lcs, terms)
+        s = _int_s_poly(terms[i], lms[i], lcs[i], terms[j], lms[j], lcs[j], pair_lcm)
+        h, _ = _reduce(s, lms, lcs, terms, mono, first)
         if not h:
             zeros += 1
             continue
-        hlm = max(h, key=_order_key)
-        if sum(hlm) > limits.max_total_degree:
-            raise CapacityError(
-                f"intermediate degree {sum(hlm)} exceeds cap "
-                f"{limits.max_total_degree} (basis size {len(terms)})"
-            )
+        hlm = min(h, key=mono.degree_mask.__xor__)
+        if degree(hlm) > limits.max_total_degree:
+            raise CapacityError(f"intermediate degree {degree(hlm)} exceeds cap "
+                                f"{limits.max_total_degree} (basis size {len(terms)})")
         if len(terms) + 1 > limits.max_basis_size:
-            raise CapacityError(
-                f"basis size exceeds cap {limits.max_basis_size} "
-                f"(pending pairs {len(heap)})"
-            )
+            raise CapacityError(f"basis size exceeds cap {limits.max_basis_size} "
+                                f"(pending pairs {len(heap)})")
         h = _primitive(h, h[hlm])
         terms.append(h)
         lms.append(hlm)
         lcs.append(h[hlm])
         sugars.append(sugar)
         update(len(terms) - 1)
-    return GroebnerBasis(num_vars, _reduced_basis(num_vars, terms, lms, lcs))
+    return GroebnerBasis(num_vars, _reduced_basis(mono, terms, lms, lcs))
 
 
 # -- counting -----------------------------------------------------------------
@@ -517,25 +520,21 @@ def count_torus_solutions(gb: GroebnerBasis) -> int:
     m = gb.num_vars
     for v in range(m):
         if not any(lm[v] > 0 and sum(lm) == lm[v] for lm in lms):
-            raise NonGenericParameters(
-                f"no pure power of variable #{v + 1} among lead monomials"
-            )
-    origin = (0,) * m
-    seen = {origin}
-    frontier = [origin]
-    count = 0
+            raise NonGenericParameters(f"no pure power of variable #{v + 1} "
+                                       "among lead monomials")
+    # the walk steps once past a standard monomial, whose exponents lie
+    # below the pure powers; so no exponent passes the largest in the leads
+    mono = _Monomials(m, sum(map(max, zip(*lms))))
+    leads = [mono.pack(lm) for lm in lms]
+    steps = [mono.pack((0,) * v + (1,) + (0,) * (m - 1 - v)) for v in range(m)]
+    seen, frontier = {0}, [0]
     while frontier:
         e = frontier.pop()
-        count += 1
-        for v in range(m):
-            child = e[:v] + (e[v] + 1,) + e[v + 1:]
-            if child in seen:
-                continue
-            if any(_divides(lm, child) for lm in lms):
-                continue
-            seen.add(child)
-            frontier.append(child)
-    return count
+        for child in [e + step for step in steps]:
+            if child not in seen and all((child - lm) & mono.guards for lm in leads):
+                seen.add(child)
+                frontier.append(child)
+    return len(seen)
 
 
 # -- end-to-end oracle --------------------------------------------------------

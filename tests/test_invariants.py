@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,8 @@ from mldeg import (
     tutte_bruteforce,
     uniform_matroid,
 )
+
+from mldeg.invariants import flat_minor_terms
 
 from conftest import corpus_upto, k4_matroid
 
@@ -183,3 +186,31 @@ class TestReport:
             monkeypatch.setattr(mldeg.invariants, "_view_chi", no_recursion)
             assert char_poly(N) == expected
             monkeypatch.undo()
+
+
+class TestMemoLifetime:
+    """A per-call memo is freed when its call returns: no reference cycle
+    keeps it alive until the cyclic garbage collector runs."""
+
+    @pytest.fixture
+    def gc_off(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    @staticmethod
+    def flat_terms(M):
+        terms = flat_minor_terms(M)
+        return terms([1, 2]), terms([3])
+
+    @pytest.mark.parametrize("call", [tutte, char_poly, flat_terms])
+    @pytest.mark.parametrize("realized", [False, True])
+    def test_gc_finds_nothing_after_a_call(self, gc_off, call, realized):
+        if realized:
+            M = Matroid.from_matrix(mat([[x ** i for x in range(1, 9)] for i in range(4)]))
+        else:
+            M = uniform_matroid(8, 4)
+        gc.collect()
+        assert call(M)
+        assert gc.collect() == 0

@@ -1,9 +1,10 @@
 import heapq
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mldeg import (
@@ -27,13 +28,10 @@ from mldeg import (
 import mldeg.solver as solver_module
 from mldeg.cli import random_uniform_matrix
 from mldeg.solver import (
-    _divides,
-    _int_s_poly,
     _int_terms,
+    _Monomials,
     _order_key,
     _primitive,
-    _reduce,
-    _reduced_basis,
     format_mpoly,
     variable_names,
 )
@@ -85,12 +83,104 @@ def sympy_reduced_groebner(system):
     return sorted(out, key=lambda t: _order_key(max(t, key=_order_key)))
 
 
+# -- the tuple kernel ----------------------------------------------------------
+# The reduction loop as it ran on exponent tuples before the solver packed
+# them into ints: the oracle for the packed kernel and the reference loop.
+
+
+def divides(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def tuple_reduce(terms, lms, lcs, tails):
+    """Fraction-free remainder (remainder, scale) of an integer polynomial
+    against integer divisors, each lead going to its first divisor."""
+    work = dict(terms)
+    heap = [(-sum(e), e) for e in work]
+    heapq.heapify(heap)
+    remainder = {}
+    scale = 1
+    while heap:
+        _, lead = heapq.heappop(heap)
+        coeff = work.get(lead)
+        if not coeff:
+            continue
+        for gi, glm in enumerate(lms):
+            if divides(glm, lead):
+                glc = lcs[gi]
+                g0 = gcd(coeff, glc)
+                mult = abs(glc) // g0
+                if glc < 0:
+                    g0 = -g0
+                factor = coeff // g0
+                if mult != 1:
+                    for key in work:
+                        work[key] *= mult
+                    for key in remainder:
+                        remainder[key] *= mult
+                    scale *= mult
+                shift = tuple(a - b for a, b in zip(lead, glm))
+                for ge, gc in tails[gi].items():
+                    key = tuple(a + b for a, b in zip(ge, shift))
+                    old = work.get(key)
+                    if old is None:
+                        val = -factor * gc
+                        if val:
+                            work[key] = val
+                            heapq.heappush(heap, (-sum(key), key))
+                    else:
+                        val = old - factor * gc
+                        if val:
+                            work[key] = val
+                        else:
+                            del work[key]
+                break
+        else:
+            remainder[lead] = coeff
+            del work[lead]
+    return remainder, scale
+
+
+def tuple_s_poly(ft, flm, flc, gt, glm, glc):
+    """Cross-scaled S-polynomial of two integer polynomials."""
+    g0 = gcd(flc, glc)
+    lcm = tuple(max(a, b) for a, b in zip(flm, glm))
+    shift_f = tuple(a - b for a, b in zip(lcm, flm))
+    shift_g = tuple(a - b for a, b in zip(lcm, glm))
+    out = {tuple(a + b for a, b in zip(e, shift_f)): glc // g0 * c for e, c in ft.items()}
+    for e, c in gt.items():
+        key = tuple(a + b for a, b in zip(e, shift_g))
+        val = out.get(key, 0) - flc // g0 * c
+        if val:
+            out[key] = val
+        elif key in out:
+            del out[key]
+    return out
+
+
+def tuple_reduced_basis(num_vars, terms, lms, lcs):
+    """Minimal basis in increasing lead order, each member reduced by the
+    others, made monic."""
+    keep = []
+    for i in sorted(range(len(terms)), key=lambda i: _order_key(lms[i])):
+        if not any(divides(lms[k], lms[i]) for k in keep):
+            keep.append(i)
+    reduced = []
+    for pos, i in enumerate(keep):
+        others = keep[:pos] + keep[pos + 1:]
+        h, _ = tuple_reduce(terms[i], [lms[k] for k in others],
+                            [lcs[k] for k in others], [terms[k] for k in others])
+        reduced.append(MPoly(num_vars, {e: Fraction(c, h[lms[i]]) for e, c in h.items()}))
+    return tuple(reduced)
+
+
 def reference_buchberger(polys, limits=None) -> GroebnerBasis:
-    """Normal strategy and chain criterion: the pair loop the library used
-    before sugar selection and the Gebauer-Moeller update, kept as the
-    reference.  Pops the smallest lcm by (total degree, exponent tuple),
-    skips coprime leads, and skips a pair (i, j) when some lead divides its
-    lcm and both pairs through that element have already been treated."""
+    """Normal strategy and chain criterion on the tuple kernel: the pair
+    loop the library used before sugar selection, the Gebauer-Moeller
+    update and packed monomials, kept as the reference.  Pops the smallest
+    lcm by (total degree, exponent tuple), skips coprime leads, and skips a
+    pair (i, j) when some lead divides its lcm and both pairs through that
+    element have already been treated."""
     limits = limits or SolverLimits()
     num_vars = polys[0].num_vars
     terms, lms, lcs = [], [], []
@@ -117,13 +207,13 @@ def reference_buchberger(polys, limits=None) -> GroebnerBasis:
         lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
         if all(a + b == c for a, b, c in zip(lmi, lmj, lcm)):
             continue
-        if any(k not in (i, j) and _divides(lms[k], lcm)
+        if any(k not in (i, j) and divides(lms[k], lcm)
                and (min(i, k), max(i, k)) not in pairs
                and (min(j, k), max(j, k)) not in pairs
                for k in range(len(terms))):
             continue
-        s = _int_s_poly(terms[i], lmi, lcs[i], terms[j], lmj, lcs[j])
-        h, _ = _reduce(s, lms, lcs, terms)
+        s = tuple_s_poly(terms[i], lmi, lcs[i], terms[j], lmj, lcs[j])
+        h, _ = tuple_reduce(s, lms, lcs, terms)
         if not h:
             continue
         hlm = max(h, key=_order_key)
@@ -137,7 +227,7 @@ def reference_buchberger(polys, limits=None) -> GroebnerBasis:
         for k in range(new):
             pairs.add((k, new))
             heapq.heappush(heap, (pair_key(k, new), (k, new)))
-    return GroebnerBasis(num_vars, _reduced_basis(num_vars, terms, lms, lcs))
+    return GroebnerBasis(num_vars, tuple_reduced_basis(num_vars, terms, lms, lcs))
 
 
 def two_conics():
@@ -384,8 +474,10 @@ class TestPairStrategy:
         # the normal strategy carried reduction scales of 77,981 bits here
         widest = [0]
 
+        packed_reduce = solver_module._reduce
+
         def recording_reduce(*args):
-            out = _reduce(*args)
+            out = packed_reduce(*args)
             widest[0] = max(widest[0], out[1].bit_length())
             return out
         monkeypatch.setattr(solver_module, "_reduce", recording_reduce)
@@ -394,13 +486,179 @@ class TestPairStrategy:
         assert 0 < widest[0] <= 4000
 
 
+@st.composite
+def reduction_problems(draw):
+    """An integer polynomial and a list of integer divisors in tuple form."""
+    nv = draw(st.integers(1, 8))
+    exps = st.tuples(*[st.integers(0, 3)] * nv)
+    nonzero = st.integers(-4, 4).filter(bool)
+    poly = st.dictionaries(exps, nonzero, min_size=1, max_size=5)
+    divisors = draw(st.lists(poly, min_size=1, max_size=4))
+    return nv, draw(st.dictionaries(exps, nonzero, max_size=6)), divisors
+
+
+def packed_problem(nv, terms, divisors):
+    lms = [max(t, key=_order_key) for t in divisors]
+    lcs = [t[lm] for t, lm in zip(divisors, lms)]
+    top = max(map(sum, [*terms, *(e for t in divisors for e in t)]), default=0)
+    # the narrowest layout that holds them: fields reach twice max_degree
+    mono = _Monomials(nv, (top + 1) // 2)
+    def packed(t):
+        return {mono.pack(e): c for e, c in t.items()}
+    return (mono, packed(terms), [mono.pack(lm) for lm in lms], lcs,
+            [packed(t) for t in divisors], lms)
+
+
+class TestPackedKernel:
+    """The packed monomial kernel against the tuple kernel above."""
+
+    @given(st.integers(0, 8).flatmap(
+        lambda nv: st.lists(st.tuples(*[st.integers(0, 40)] * nv), min_size=3, max_size=3)))
+    def test_monomial_arithmetic_matches_tuples(self, monomials):
+        # fields sized for these monomials, so a product of two may fill a
+        # field up to twice the largest degree; 8 variables take 9 fields
+        # of up to 11 bits
+        a, b, c = monomials
+        mono = _Monomials(len(a), max(map(sum, monomials)))
+        pa, pb = mono.pack(a), mono.pack(b)
+        ab = tuple(x + y for x, y in zip(a, b))
+        assert mono.pack(ab) == pa + pb
+        assert mono.unpack(pa + pb) == ab and mono.degree(pa + pb) == sum(ab)
+        assert mono.lcm(pa, pb) == mono.pack(tuple(map(max, a, b)))
+        for x, y in [(a, b), (ab, c), (c, ab), (a, ab), (ab, ab)]:
+            px, py = mono.pack(x), mono.pack(y)
+            assert (not (py - px) & mono.guards) == divides(x, y)
+            assert ((px ^ mono.degree_mask) < (py ^ mono.degree_mask)) == (
+                _order_key(x) > _order_key(y))
+
+    @given(reduction_problems())
+    @example((1, {(9,): 1}, [{(1,): 1, (0,): -1}]))  # a lead filling most of its field
+    def test_reduce_matches_tuple_kernel(self, problem):
+        nv, terms, divisors = problem
+        mono, pterms, plms, lcs, ptails, lms = packed_problem(nv, terms, divisors)
+        remainder, scale = solver_module._reduce(pterms, plms, lcs, ptails, mono, {})
+        expected = tuple_reduce(terms, lms, lcs, divisors)
+        assert ({mono.unpack(e): c for e, c in remainder.items()}, scale) == expected
+
+    @given(reduction_problems(), st.integers(0, 4))
+    def test_first_divisor_memo_survives_appended_divisors(self, problem, cut):
+        # the memo filled against a prefix of the divisors stays valid
+        # once the rest are appended, as the basis grows in buchberger
+        nv, terms, divisors = problem
+        mono, pterms, plms, lcs, ptails, lms = packed_problem(nv, terms, divisors)
+        first = {}
+        solver_module._reduce(pterms, plms[:cut], lcs[:cut], ptails[:cut], mono, first)
+        remainder, scale = solver_module._reduce(pterms, plms, lcs, ptails, mono, first)
+        expected = tuple_reduce(terms, lms, lcs, divisors)
+        assert ({mono.unpack(e): c for e, c in remainder.items()}, scale) == expected
+
+    @given(reduction_problems())
+    def test_s_poly_matches_tuple_kernel(self, problem):
+        nv, _, divisors = problem
+        f, g = divisors[0], divisors[-1]
+        mono, _, plms, lcs, ptails, lms = packed_problem(nv, {}, [f, g])
+        s = solver_module._int_s_poly(ptails[0], plms[0], lcs[0], ptails[1], plms[1],
+                                      lcs[1], mono.lcm(plms[0], plms[1]))
+        assert {mono.unpack(e): c for e, c in s.items()} == tuple_s_poly(
+            f, lms[0], lcs[0], g, lms[1], lcs[1])
+
+
+class TestFieldWidth:
+    """Inputs at the edges of the packed layout's field sizing."""
+
+    def test_normal_form_far_above_the_basis_degree(self):
+        # x1^500 * t1 against a basis of degree 2
+        gb = buchberger(build_score_system(subspace([[1, 1]]), random_generic_s(2, 1), 3))
+        p = MPoly(3, {(500, 0, 1): Fraction(3, 7), (0, 0, 1): Fraction(-1, 2), (1, 0, 0): 5})
+        nf = gb.normal_form(p)
+        assert not nf.is_zero()
+        syms = sp.symbols(variable_names(2, 1))
+        gens = list(reversed(syms))
+        _, rem = sp.reduced(sympy_expr(p, syms),
+                            [sympy_expr(g, syms) for g in gb.generators],
+                            *gens, order="grevlex")
+        assert nf.terms == term_dict(sp.Poly(rem, *gens))
+
+    def test_inputs_above_the_degree_cap(self):
+        # leads of degree 101 and 120 under a cap of 5; the coprime test
+        # adds two of them, and their S-polynomial reduces to zero
+        polys = [MPoly(3, {(100, 1, 0): 1, (100, 0, 0): -1}),
+                 MPoly(3, {(1, 1, 0): 1, (1, 0, 0): -1}),
+                 MPoly(3, {(0, 0, 120): 1, (0, 0, 119): -1})]
+        gb = buchberger(polys, SolverLimits(max_total_degree=5))
+        assert as_term_dicts(gb) == [{(1, 1, 0): 1, (1, 0, 0): -1},
+                                     {(0, 0, 120): 1, (0, 0, 119): -1}]
+        assert gb == reference_buchberger(polys)
+
+    def test_degree_cap_still_fires_above_high_inputs(self):
+        polys = [MPoly(2, {(100, 1): 1, (0, 0): -1}), MPoly(2, {(1, 1): 1, (0, 0): -1})]
+        with pytest.raises(CapacityError, match="intermediate degree 99 exceeds cap 80"):
+            buchberger(polys)
+        gb = buchberger(polys, SolverLimits(max_total_degree=99))
+        assert gb == reference_buchberger(polys, SolverLimits(max_total_degree=99))
+        assert count_torus_solutions(gb) == 99
+
+    def test_layout_is_sized_by_the_cap_and_the_inputs(self, monkeypatch):
+        # leads reach the degree cap only far above the inputs' degrees,
+        # where the systems here never go, so the sizing rule is pinned
+        sizes = []
+
+        class Recording(_Monomials):
+            __slots__ = ()
+
+            def __init__(self, num_vars, max_degree):
+                sizes.append(max_degree)
+                super().__init__(num_vars, max_degree)
+        monkeypatch.setattr(solver_module, "_Monomials", Recording)
+        buchberger(two_conics())
+        buchberger([MPoly(1, {(100,): 1, (0,): -1})], SolverLimits(max_total_degree=5))
+        assert sizes == [SolverLimits().max_total_degree, 100]
+
+    def test_one_variable(self):
+        polys = [MPoly(1, {(3,): 1, (0,): -1}), MPoly(1, {(2,): 1, (0,): -1})]
+        gb = buchberger(polys)
+        assert as_term_dicts(gb) == [{(1,): 1, (0,): -1}]
+        assert gb == reference_buchberger(polys)
+        assert count_torus_solutions(gb) == 1
+
+    def test_eight_variables(self, monkeypatch):
+        # n + r = 8 under MLDEG_MAX_N=6, the widest score system CI runs
+        monkeypatch.setenv("MLDEG_MAX_N", "6")
+        L = subspace([[1, 0, 1, 2, -1, 3], [0, 1, 1, -1, 2, 1]])
+        system = build_score_system(L, random_generic_s(6, 0), 2)
+        gb = buchberger(system)
+        assert len(gb.generators) == 29
+        assert count_torus_solutions(gb) == score_count(uniform_matroid(6, 2), 2)
+        for eq in system.equations:
+            assert gb.normal_form(eq).is_zero()
+
+    def test_constant_and_unit_ideals(self):
+        for num_vars in (0, 1, 3):
+            gb = buchberger([MPoly(num_vars, {(0,) * num_vars: Fraction(-5, 3)})])
+            assert as_term_dicts(gb) == [{(0,) * num_vars: 1}]
+            assert count_torus_solutions(gb) == 0
+            p = MPoly(num_vars, {(2,) * num_vars: 4, (0,) * num_vars: 1})
+            assert gb.normal_form(p).is_zero()
+        assert buchberger([MPoly(2), MPoly(2)]).generators == ()
+        gb = buchberger([MPoly(2, {(1, 1): 1, (0, 0): -1}), MPoly(2, {(1, 0): 1})])
+        assert as_term_dicts(gb) == [{(0, 0): 1}]
+
+    def test_num_vars_mismatch(self):
+        with pytest.raises(ValueError):
+            buchberger([MPoly(1, {(1,): 1}), MPoly(2, {(1, 0): 1})])
+        gb = buchberger([MPoly(1, {(1,): 1})])
+        with pytest.raises(ValueError):
+            gb.normal_form(MPoly(2, {(1, 0): 1}))
+
+
 class TestReductionBudget:
     def count_reductions(self, monkeypatch, system):
         calls = [0]
+        packed_s_poly = solver_module._int_s_poly
 
         def counting_s_poly(*args):
             calls[0] += 1
-            return _int_s_poly(*args)
+            return packed_s_poly(*args)
         monkeypatch.setattr(solver_module, "_int_s_poly", counting_s_poly)
         gb = buchberger(system)
         return gb, calls[0]
@@ -423,6 +681,11 @@ class TestReductionBudget:
         gb, used = self.count_reductions(monkeypatch, system)
         assert used == 251 < SolverLimits().max_reductions
         assert count_torus_solutions(gb) == score_count(uniform_matroid(4, 3), 3)
+
+    def test_moment_curve_reductions_are_pinned(self, monkeypatch):
+        gb, used = self.count_reductions(monkeypatch, moment_curve_system())
+        assert used == 190
+        assert count_torus_solutions(gb) == score_count(uniform_matroid(5, 2), 3)
 
 
 class TestCounting:
