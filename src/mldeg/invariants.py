@@ -34,8 +34,9 @@ is a coloop, and the coloops of R.
               input, they leave its mask caches empty, and the rows in
               flight take recursion depth x r x n integers.
 
-flat_minor_terms always asks the mask oracle: it runs after the walk up
-the lattice of flats, which has already cached every closure it needs.
+flat_terms reads chi(M|F) and |mu(M/F)| of every flat F off the lattice of
+flats, with no view recursion, so the two sides of verify_stratification
+share no code.
 
 Each memo table lives for one top-level call; only the final chi is kept,
 on the Matroid instance.  The corank-nullity expansion over all subsets is
@@ -46,10 +47,10 @@ through the view recursions.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from collections.abc import Callable
 
 from .linalg import _bareiss_echelon, _pivot
-from .matroids import Matroid, flats
+from .matroids import Matroid, _mask_of, flats
 from .ratpoly import BiPoly, UniPoly, _frozen
 
 
@@ -297,26 +298,33 @@ def _char_poly_from_tutte(T: BiPoly, r: int) -> UniPoly:
     return T.x_slice_at_y_zero().compose_linear(1, -1).scale(-1 if r % 2 else 1)
 
 
-def flat_minor_terms(M: Matroid) -> Callable[[Iterable[int]], tuple[UniPoly, int]]:
-    """A function taking a flat F of M to chi(M|F) and |mu(M/F)|.
+def flat_terms(M: Matroid) -> tuple[tuple[UniPoly, int], ...]:
+    """chi(M|F) and |mu(M/F)| for every flat F of M, in lattice order.
 
-    M|F is the view (F, cl(empty)) and M/F the view (E - F, F); one chi memo
-    serves every flat passed to the returned function, and no minor is
-    built.  These views ask the mask oracle even on realized input: the
-    caller has walked the lattice of flats, which leaves every closure
-    cl(F + e) these views ask for in the closure cache, and answering from
-    that cache is several times faster than pivoting the rows.
+    [bottom, F] is the lattice of M|F and [F, top] that of M/F, so chi(M|F)
+    is the sum of mu(bottom, G) t^(rk F - rk G) over the flats G in F (zero
+    when M has loops), and |mu(M/F)| = |mu(F, top)|, with mu(top, top) = 1
+    and mu(F, top) = -(sum of mu(G, top) over the flats G above F).  Subset
+    tests run between the flats of two ranks at a time.  Flats with equal
+    terms share one pair.
     """
-    chi = _view_chi(_MaskViews(M))
-    ground = (1 << M.n) - 1
-    bottom = M.closure_mask(0)
-
-    def terms(F: Iterable[int]) -> tuple[UniPoly, int]:
-        mask = M.mask(F)
-        return (chi(mask, bottom, None),
-                abs(chi(ground ^ mask, mask, None).evaluate(0)))
-
-    return terms
+    lattice = flats(M)
+    levels = [[] for _ in range(lattice.ranks[-1] + 1)]
+    for F, rk, mu in zip(lattice.flats, lattice.ranks, lattice.mobius):
+        levels[rk].append((_mask_of(F), mu))
+    # The comprehension reads `above` before it grows by the level.
+    above = [(levels[-1][0][0], 1)]
+    for level in reversed(levels[:-1]):
+        above += [(F, -sum(nu for G, nu in above if F & G == F)) for F, _ in level]
+    up = dict(above)
+    keys = []
+    for k, level in enumerate(levels):
+        for F, mu in level:
+            below = (sum(nu for G, nu in levels[j] if G & F == G)
+                     for j in range(k - 1, -1, -1))
+            keys.append((() if lattice.bottom else (mu, *below), abs(up[F])))
+    pairs = {key: (UniPoly(key[0]), key[1]) for key in set(keys)}
+    return tuple(pairs[key] for key in keys)
 
 
 def char_poly_flats(M: Matroid) -> UniPoly:

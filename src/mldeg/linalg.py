@@ -19,10 +19,10 @@ lived at ambient index labels[k-1].
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 from .ratpoly import _frozen, format_rational, parse_rational
 

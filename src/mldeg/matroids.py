@@ -10,22 +10,23 @@ Subsets are also handled as int bitmasks, element e at bit e - 1.  Rank and
 closure queries are memoized per instance, keyed by mask; the caches are
 filled monotonically with values that never change, so concurrent readers
 are safe under the interpreter lock.  A realized closure is read off the
-integer rows after one pivot step per column of the mask.  The lattice of
-flats, once built, is immutable.
+integer rows after one pivot step per column of the mask.  An explicit
+rank is a greedy count over one bitset of bases per element, and the
+closure adds the elements that no basis left after the count holds.  The
+lattice of flats, once built, is immutable.
 
 Minor operations relabel the surviving ground set by order-preserving
 compression and return the relabeling alongside: element k of the minor sat
 at ambient index labels[k-1].  An explicit minor filters the basis list.
-The flats are found by one walk up the ranks, which leaves cl(F + e) for
-every flat F and element e in the closure cache, and the lattice keeps only
+The flats are found by one walk up the ranks, and the lattice keeps only
 the Moebius values mu(bottom, F).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from .linalg import (
     QMatrix,
@@ -44,11 +45,10 @@ class Matroid:
     The per-instance caches `_rank_cache` and `_closure_cache` are not
     bounded: they gain an entry for every subset mask a query reaches, so
     they grow with every view, flat and minor a kept Matroid is asked
-    about.  Three paths fill them: `flats` (every cl(F + e)),
-    `flat_minor_terms` (the views M|F and M/F of every flat) and every
-    query on an explicit-bases input, whose rank oracle is the cache.
-    Tutte and chi on a realized input leave them empty.  Drop the Matroid
-    to free them.
+    about.  Two paths fill them: the closures of the `flats` walk and every
+    query on an explicit-bases input, one rank entry per query, a closure
+    included.  Tutte and chi on a realized input leave them empty.  Drop the Matroid to free them.  An explicit input builds
+    its basis bitsets `_holders` on its first query, not on construction.
     """
 
     __slots__ = (
@@ -57,6 +57,7 @@ class Matroid:
         "_int_rows",
         "_bases",
         "_basis_masks",
+        "_holders",
         "_rank_cache",
         "_closure_cache",
         "_lattice",
@@ -76,6 +77,7 @@ class Matroid:
         self._int_rows = None
         self._bases = None
         self._basis_masks = None
+        self._holders = None
         self._rank_cache: dict[int, int] = {}
         self._closure_cache: dict[int, int] = {}
         self._lattice = None
@@ -114,6 +116,9 @@ class Matroid:
 
     @classmethod
     def from_bases(cls, n: int, bases: Iterable[Iterable[int]]) -> "Matroid":
+        """Explicit matroid on 1..n.  Its greedy rank is the true rank only
+        if the bases satisfy basis exchange, which the CLI enforces with
+        `check_bases` and this constructor does not check."""
         return cls(n, bases=bases)
 
     @property
@@ -148,12 +153,34 @@ class Matroid:
         """Bitmask of the subset S: element e sits at bit e - 1."""
         return _mask_of(self._subset(S))
 
+    def _greedy(self, mask: int) -> tuple[int, int]:
+        """Rank of an explicit `mask`, and the bases (bit i for basis i)
+        that hold the independent subset of it picked in element order."""
+        holders = self._holders
+        if holders is None:
+            holders = [0] * self.n
+            for i, b in enumerate(self._basis_masks):
+                bit = 1 << i
+                while b:
+                    low = b & -b
+                    holders[low.bit_length() - 1] |= bit
+                    b ^= low
+            self._holders = holders
+        live, rk = (1 << len(self._basis_masks)) - 1, 0
+        while mask:
+            low = mask & -mask
+            hit = live & holders[low.bit_length() - 1]
+            if hit:
+                live, rk = hit, rk + 1
+            mask ^= low
+        return rk, live
+
     def rank_mask(self, mask: int) -> int:
         """Rank of the subset whose element e sits at bit e - 1."""
         cached = self._rank_cache.get(mask)
         if cached is None:
             if self._basis_masks is not None:
-                cached = max((b & mask).bit_count() for b in self._basis_masks)
+                cached = self._greedy(mask)[0]
             else:
                 cols = [j for j in range(self.n) if mask >> j & 1]
                 cached = rank_int_rows(
@@ -169,17 +196,18 @@ class Matroid:
         columns of `mask`: one pivot step per column, after which a column
         is zero exactly when it lies in the closure.  The ranks of `mask`
         and of each `mask` plus one element come out on the way and are
-        cached, as the rank queries of the explicit route would cache them.
+        cached.  An explicit matroid adds each element that no basis
+        holding the greedy independent subset of `mask` holds.
         """
         cached = self._closure_cache.get(mask)
         if cached is None:
             if self._int_rows is None:
-                rk = self.rank_mask(mask)
+                rk, live = self._greedy(mask)
+                self._rank_cache[mask] = rk
                 cached = mask
-                for j in range(self.n):
-                    bit = 1 << j
-                    if not mask & bit and self.rank_mask(mask | bit) == rk:
-                        cached |= bit
+                for j, held in enumerate(self._holders):
+                    if not live & held:
+                        cached |= 1 << j
             else:
                 rows = self._int_rows
                 for j in range(self.n):
@@ -205,10 +233,6 @@ class Matroid:
         if self._subspace is not None:
             return self._subspace.dim
         return len(self._bases[0])
-
-    def is_independent(self, S: Iterable[int]) -> bool:
-        fs = self._subset(S)
-        return self.rank(fs) == len(fs)
 
     def closure(self, S: Iterable[int]) -> frozenset:
         """Largest superset of S with the same rank."""
@@ -255,10 +279,6 @@ def _mask_of(S: Iterable[int]) -> int:
 
 def _elements_of(mask: int) -> frozenset:
     return frozenset(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
-
-
-def matroid_from_matrix(A: QMatrix) -> Matroid:
-    return Matroid.from_matrix(A)
 
 
 def uniform_matroid(n: int, r: int) -> Matroid:
@@ -336,8 +356,8 @@ class FlatLattice:
 
     Flats are sorted by (rank, sorted elements); flat 0 is the bottom
     (closure of the empty set), the last flat is the full ground set.
-    mobius[j] = mu(F_0, F_j), the only row of the Moebius function that
-    char_poly_flats and the JSON export read.
+    mobius[j] = mu(F_0, F_j), the only row of the Moebius function kept;
+    flat_terms reads it and derives mu(F, top) from the flats when it runs.
     """
 
     flats: tuple[frozenset, ...]
@@ -347,23 +367,6 @@ class FlatLattice:
     @property
     def bottom(self) -> frozenset:
         return self.flats[0]
-
-    @property
-    def top(self) -> frozenset:
-        return self.flats[-1]
-
-    def index_of(self, F: Iterable[int]) -> int:
-        fs = frozenset(F)
-        for i, flat in enumerate(self.flats):
-            if flat == fs:
-                return i
-        raise KeyError(f"{sorted(fs)} is not a flat")
-
-    def mu_bottom(self, F: Iterable[int]) -> int:
-        return self.mobius[self.index_of(F)]
-
-    def mobius_from_bottom(self) -> tuple[int, ...]:
-        return self.mobius
 
     def to_json_dict(self) -> dict:
         return {
@@ -384,7 +387,6 @@ def flats(M: Matroid) -> FlatLattice:
     if M._lattice is not None:
         return M._lattice
     closure = M.closure_mask
-    cache = M._closure_cache
     ground = (1 << M.n) - 1
     levels = [[closure(0)]]
     while True:
@@ -395,11 +397,6 @@ def flats(M: Matroid) -> FlatLattice:
                 G = closure(F | (rest & -rest))
                 found.add(G)
                 rest &= ~G
-                # cl(F + e) = G for every e in G - F, since F is a flat.
-                new = G & ~F
-                while new:
-                    cache.setdefault(F | (new & -new), G)
-                    new &= new - 1
         if not found:
             break
         levels.append(sorted(found, key=lambda G: sorted(_elements_of(G))))

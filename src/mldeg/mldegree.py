@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Iterable, Sequence, Union
+from collections.abc import Sequence
 
-from .invariants import char_poly, flat_minor_terms, mobius_invariant
+from .invariants import char_poly, flat_terms, mobius_invariant
 from .linalg import Subspace
 from .matroids import (
     Matroid,
@@ -36,10 +36,8 @@ from .matroids import (
 )
 from .ratpoly import BiPoly, UniPoly, _frozen
 
-MatroidLike = Union[Matroid, Subspace]
 
-
-def _as_matroid(source: MatroidLike) -> Matroid:
+def _as_matroid(source: Matroid | Subspace) -> Matroid:
     if isinstance(source, Matroid):
         return source
     return Matroid.from_subspace(source)
@@ -59,13 +57,13 @@ def _count_from_chi(chi: UniPoly, r: int, d: int) -> int:
     return value
 
 
-def rmld(M: MatroidLike) -> int:
+def rmld(M: Matroid | Subspace) -> int:
     """Reciprocal ML degree: (-2)^r chi(1/2), zero when loops are present."""
     M = _as_matroid(M)
     return _count_from_chi(char_poly(M), M.full_rank(), 2)
 
 
-def mld(M: MatroidLike) -> int:
+def mld(M: Matroid | Subspace) -> int:
     """ML degree: |chi(0)| = |mu(M)|, zero when loops are present."""
     M = _as_matroid(M)
     if M.loops():
@@ -73,7 +71,7 @@ def mld(M: MatroidLike) -> int:
     return abs(mobius_invariant(M))
 
 
-def score_count(M: MatroidLike, d: int) -> int:
+def score_count(M: Matroid | Subspace, d: int) -> int:
     """Number of score-equation solutions (with multiplicity) for generic
     parameters: (-d)^r chi(1/d) for d >= 1, and mld for d = 0."""
     M = _as_matroid(M)
@@ -84,7 +82,7 @@ def score_count(M: MatroidLike, d: int) -> int:
     return _count_from_chi(char_poly(M), M.full_rank(), d)
 
 
-def score_count_dc(M: MatroidLike, d: int) -> int:
+def score_count_dc(M: Matroid | Subspace, d: int) -> int:
     """The same count by deletion-contraction on the smallest element:
 
         0 on a loop, (d-1) * D(M/e) on a coloop, D(M\\e) + d * D(M/e)
@@ -190,13 +188,14 @@ class StratificationReport:
         }
 
 
-def verify_stratification(L: MatroidLike, d: int) -> StratificationReport:
+def verify_stratification(L: Matroid | Subspace, d: int) -> StratificationReport:
     """Check d^r |mu(M)| against the stratum-by-stratum count
 
         sum over flats F of D(M|F, d) * |mu(M/F)|
 
-    computed entirely by the combinatorial formulas.  For d = 0 the score
-    equations are linear and every solution has full support, so the
+    computed entirely by the combinatorial formulas: mu(M) from chi, the
+    right-hand side from the lattice of flats (`flat_terms`).  For d = 0 the
+    score equations are linear and every solution has full support, so the
     identity degenerates to |mu(M)| = D(M, 0) with the full ground set as
     the only stratum.
     """
@@ -219,13 +218,9 @@ def verify_stratification(L: MatroidLike, d: int) -> StratificationReport:
     rhs = 0
     lattice = flats(M)
     # The pairs (chi(M|F), |mu(M/F)|) do not depend on d: kept on M, they
-    # are computed once for all the exponents checked.  Flats of one
-    # isomorphism type give equal pairs, which are stored once, so a
-    # long-lived process holding many matroids keeps them in little memory.
+    # serve every exponent checked, each distinct pair stored once.
     if M._flat_terms is None:
-        terms, shared = flat_minor_terms(M), {}
-        M._flat_terms = tuple(shared.setdefault(t, t)
-                              for t in map(terms, lattice.flats))
+        M._flat_terms = flat_terms(M)
     for F, rk, (chi_F, mu_c) in zip(lattice.flats, lattice.ranks, M._flat_terms):
         count = _count_from_chi(chi_F, rk, d)
         rhs += count * mu_c
@@ -259,7 +254,7 @@ class RmldOneReport:
         }
 
 
-def classify_rmld_one(M: MatroidLike) -> RmldOneReport:
+def classify_rmld_one(M: Matroid | Subspace) -> RmldOneReport:
     """Evaluate all four conditions and insist that they agree."""
     M = _as_matroid(M)
     r = M.full_rank()
@@ -300,7 +295,7 @@ class MLDegreeReport:
         }
 
 
-def ml_degree_report(M: MatroidLike, d: int = 2) -> MLDegreeReport:
+def ml_degree_report(M: Matroid | Subspace, d: int = 2) -> MLDegreeReport:
     M = _as_matroid(M)
     return MLDegreeReport(
         d=d,

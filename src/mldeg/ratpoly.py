@@ -20,12 +20,11 @@ same immutability from the `_frozen` class decorator.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Mapping, Union
 
 Rational = Fraction
-Scalar = Union[int, Fraction]
 
 
 def parse_rational(text: object) -> Fraction:
@@ -48,7 +47,7 @@ def parse_rational(text: object) -> Fraction:
     raise ValueError(f"not a rational value: {text!r}")
 
 
-def format_rational(q: Scalar) -> str:
+def format_rational(q: int | Fraction) -> str:
     """Canonical string form: '/'-separated, no whitespace, integers bare."""
     return str(Fraction(q))
 
@@ -131,12 +130,12 @@ class UniPoly:
             exp >>= 1
         return result
 
-    def evaluate(self, point: Scalar) -> Scalar:
+    def evaluate(self, point: int | Fraction) -> int | Fraction:
         """Exact value at `point` by Horner's rule.
 
         An int point yields an int, a Fraction point yields a Fraction.
         """
-        acc: Scalar = 0
+        acc: int | Fraction = 0
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
@@ -254,17 +253,17 @@ class BiPoly:
     def scale(self, k: int) -> "BiPoly":
         return BiPoly({key: k * c for key, c in self._terms.items()})
 
-    def evaluate(self, x: Scalar, y: Scalar) -> Scalar:
+    def evaluate(self, x: int | Fraction, y: int | Fraction) -> int | Fraction:
         """Exact value at (x, y); int inputs stay int, Fractions stay exact."""
-        xpow: dict[int, Scalar] = {0: 1}
-        ypow: dict[int, Scalar] = {0: 1}
+        xpow: dict[int, int | Fraction] = {0: 1}
+        ypow: dict[int, int | Fraction] = {0: 1}
 
         def power(table, base, e):
             if e not in table:
                 table[e] = power(table, base, e - 1) * base
             return table[e]
 
-        acc: Scalar = 0
+        acc: int | Fraction = 0
         for (i, j), c in self._terms.items():
             acc += c * power(xpow, x, i) * power(ypow, y, j)
         return acc

@@ -48,9 +48,9 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 from .linalg import QMatrix, Subspace
 from .matroids import Matroid

@@ -23,7 +23,7 @@ from mldeg import (
     uniform_matroid,
 )
 
-from mldeg.invariants import flat_minor_terms
+from mldeg.invariants import flat_terms
 
 from conftest import corpus_upto, k4_matroid
 
@@ -198,11 +198,6 @@ class TestMemoLifetime:
         gc.disable()
         yield
         gc.enable()
-
-    @staticmethod
-    def flat_terms(M):
-        terms = flat_minor_terms(M)
-        return terms([1, 2]), terms([3])
 
     @pytest.mark.parametrize("call", [tutte, char_poly, flat_terms])
     @pytest.mark.parametrize("realized", [False, True])

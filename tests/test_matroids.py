@@ -9,6 +9,7 @@ from mldeg import (
     Matroid,
     QMatrix,
     Subspace,
+    UniPoly,
     char_poly,
     connected_components,
     contract,
@@ -25,6 +26,7 @@ from mldeg import (
     score_count_dc,
     uniform_matroid,
 )
+from mldeg.invariants import flat_terms
 from mldeg.matroids import check_bases
 from conftest import (
     _explicit_copy, any_matrices, corpus, corpus_upto, k4_matroid, mixed_copy,
@@ -206,6 +208,57 @@ class TestClosure:
             assert rk == E.rank_mask(mask)
 
 
+def max_meet(bases: tuple[int, ...], mask: int) -> int:
+    """Rank rule that the basis bitsets replaced: the largest meet of the
+    mask with a basis."""
+    return max((b & mask).bit_count() for b in bases)
+
+
+class TestBitsetOracle:
+    """An explicit matroid answers rank and closure greedily from one
+    bitset per element over its basis list.  The largest meet with a basis
+    and the realized oracle are the references."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 9), r=st.integers(0, 5))
+    def test_every_mask_matches_max_meet_and_realized(self, seed, n, r):
+        M = Matroid.from_matrix(random_matrix(random.Random(seed), n, min(n, r)))
+        # E answers ranks before closures, F closures before ranks.
+        E, F = _explicit_copy(M), _explicit_copy(M)
+        bases = E._basis_masks
+        for mask in range(1 << n):
+            rk = max_meet(bases, mask)
+            closed = mask
+            for j in range(n):
+                if max_meet(bases, mask | 1 << j) == rk:
+                    closed |= 1 << j
+            assert F.closure_mask(mask) == closed == M.closure_mask(mask)
+            assert E.rank_mask(mask) == rk == M.rank_mask(mask) == F.rank_mask(mask)
+            assert E.closure_mask(mask) == closed
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), r=st.integers(1, 4),
+           pick=st.integers(0, 2 ** 8 - 1))
+    def test_explicit_minors_count_like_realized_minors(self, seed, n, r, pick):
+        M = Matroid.from_matrix(random_matrix(random.Random(seed), n, min(n, r)))
+        E = _explicit_copy(M)
+        S = {e for e in M.ground if pick >> (e - 1) & 1}
+        for minor in (restrict, contract_set):
+            realized, labels = minor(M, S)
+            explicit, explicit_labels = minor(E, S)
+            assert explicit_labels == labels
+            assert explicit.bases() == realized.bases()
+            for d in (1, 2, 3):
+                assert score_count_dc(explicit, d) == score_count(realized, d)
+
+    def test_bitsets_are_built_on_the_first_query(self):
+        E = _explicit_copy(k4_matroid())
+        assert E._holders is None
+        # Edges 1, 2 and 4 of K4 form a triangle.
+        assert E.closure_mask(0b1011) == 0b1011
+        assert len(E._holders) == 6 and E._rank_cache == {0b1011: 2}
+        minors = [contract_set(E, {1})[0], restrict(E, range(2, 7))[0]]
+        assert all(N._holders is None for N in minors)
+
+
 def check_against_enumeration(M: Matroid) -> None:
     lat = flats(M)
     assert len(set(lat.flats)) == len(lat.flats)
@@ -219,17 +272,17 @@ class TestFlats:
         lat = flats(uniform_matroid(3, 2))
         sets = [set(F) for F in lat.flats]
         assert sets == [set(), {1}, {2}, {3}, {1, 2, 3}]
-        assert lat.mu_bottom(lat.top) == 2
+        assert lat.mobius[-1] == 2
 
     def test_u11(self):
         lat = flats(uniform_matroid(1, 1))
         assert [set(F) for F in lat.flats] == [set(), {1}]
-        assert lat.mu_bottom(lat.top) == -1
+        assert lat.mobius[-1] == -1
 
     def test_u34_count_and_mobius(self):
         lat = flats(uniform_matroid(4, 3))
         assert len(lat.flats) == 1 + 4 + 6 + 1
-        assert lat.mu_bottom(lat.top) == -3
+        assert lat.mobius[-1] == -3
 
     def test_empty_set_flat_iff_loopless(self):
         loopy = Matroid.from_matrix(mat([[1, 0], [0, 0]], cols=2))
@@ -244,14 +297,29 @@ class TestFlats:
             lat = flats(M)
             table = mobius_all_pairs(lat)
             row = tuple(table[(0, j)] for j in range(len(lat.flats)))
-            assert lat.mobius_from_bottom() == row
+            assert lat.mobius == row
             if M.is_loopless():
-                assert lat.mu_bottom(lat.top) == char_poly(M).evaluate(0)
+                assert lat.mobius[-1] == char_poly(M).evaluate(0)
+
+    def test_flat_terms_match_all_pairs_table(self):
+        # chi(M|F_j) sums mu(bottom, F_i) t^(rk F_j - rk F_i) over F_i <= F_j,
+        # and |mu(M/F_j)| is |mu(F_j, top)|, both read off the full table.
+        for M in corpus_upto(7)[:50]:
+            lat = flats(M)
+            table = mobius_all_pairs(lat)
+            top = len(lat.flats) - 1
+            for j, (chi, mu_contract) in enumerate(flat_terms(M)):
+                assert mu_contract == abs(table[(j, top)])
+                coeffs = [0] * (lat.ranks[j] + 1)
+                for i in range(j + 1):
+                    if (0, i) in table and (i, j) in table:
+                        coeffs[lat.ranks[j] - lat.ranks[i]] += table[(0, i)]
+                assert chi == (UniPoly(coeffs) if M.is_loopless() else UniPoly.zero())
 
     def test_bottom_mobius_matches_charpoly_at_zero(self):
         for M in corpus_upto(7, loopless=True)[:40]:
             lat = flats(M)
-            assert lat.mu_bottom(lat.top) == char_poly(M).evaluate(0)
+            assert lat.mobius[-1] == char_poly(M).evaluate(0)
 
     def test_enumeration_paths_agree(self):
         for M in corpus_upto(7):

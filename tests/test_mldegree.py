@@ -184,15 +184,15 @@ class TestStratification:
 
     def test_per_flat_terms_computed_once(self, monkeypatch):
         # chi(M|F) and |mu(M/F)| do not depend on d, so checking several
-        # exponents runs the per-flat recursions once.
+        # exponents reads them off the lattice once.
         calls = []
-        terms = mldeg.mldegree.flat_minor_terms
+        terms = mldeg.mldegree.flat_terms
 
         def counted(M):
             calls.append(M)
             return terms(M)
 
-        monkeypatch.setattr(mldeg.mldegree, "flat_minor_terms", counted)
+        monkeypatch.setattr(mldeg.mldegree, "flat_terms", counted)
         M = k4_matroid()
         N = Matroid.from_subspace(M.subspace)
         reports = [verify_stratification(N, d) for d in (1, 2, 3, 2)]

@@ -39,7 +39,7 @@ from mldeg import (
 from conftest import (
     _explicit_copy, corpus, corpus_upto, random_matrix, vamos_matroid,
 )
-from mldeg.invariants import _RowViews, _view_chi, flat_minor_terms
+from mldeg.invariants import _MaskViews, _RowViews, _view_chi, flat_terms
 
 
 def fresh(M: Matroid) -> Matroid:
@@ -108,6 +108,22 @@ def test_per_flat_entries_match_explicit_minors():
             assert entry.mu_contract == abs(char_poly_flats(contraction).evaluate(0))
 
 
+@given(index=st.integers(0, len(EXPLICIT) - 1))
+def test_lattice_terms_match_view_terms_on_explicit_input(index):
+    M = fresh(EXPLICIT[index])
+    reference = mask_flat_terms(M)
+    assert list(flat_terms(M)) == [reference(F) for F in flats(M).flats]
+
+
+def test_lattice_terms_store_equal_pairs_once():
+    # U(3, 6): the 6 points share one pair, and so do the 15 lines.
+    M = Matroid.from_matrix(QMatrix.from_rows(
+        [[1] * 6, list(range(1, 7)), [j * j for j in range(1, 7)]]))
+    terms = flat_terms(M)
+    assert len(terms) == 1 + 6 + 15 + 1
+    assert len({id(pair) for pair in terms}) == 4
+
+
 def test_no_module_level_table_keeps_entries():
     for M in corpus():
         tutte(M)
@@ -120,8 +136,25 @@ def test_no_module_level_table_keeps_entries():
         assert held == {}, module.__name__
 
 
+def mask_flat_terms(M: Matroid):
+    """A function taking a flat F of M to chi(M|F) and |mu(M/F)| by view
+    recursions on the mask oracle, the reference for the lattice route of
+    flat_terms.  M|F is the view (F, cl(empty)) and M/F the view (E - F, F);
+    one chi memo serves every flat passed to the returned function."""
+    chi = _view_chi(_MaskViews(M))
+    ground = (1 << M.n) - 1
+    bottom = M.closure_mask(0)
+
+    def terms(F):
+        mask = M.mask(F)
+        return (chi(mask, bottom, None),
+                abs(chi(ground ^ mask, mask, None).evaluate(0)))
+
+    return terms
+
+
 def row_flat_terms(M: Matroid):
-    """flat_minor_terms on the row route: the view (E - F, F) starts from
+    """mask_flat_terms on the row route: the view (E - F, F) starts from
     the rows reduced modulo span(F)."""
     views = _RowViews(M)
     chi = _view_chi(views)
@@ -137,14 +170,17 @@ def row_flat_terms(M: Matroid):
 
 
 def check_rows_against_masks(M: Matroid) -> None:
-    """The row route on realized M equals the mask route on its bases."""
+    """The row route on realized M equals the mask route on its bases, and
+    the per-flat terms read off the lattice equal both, on M and on E."""
     E = _explicit_copy(M)
     assert tutte(fresh(M)) == tutte(E)
     assert char_poly(fresh(M)) == char_poly(_explicit_copy(M))
-    rows_terms, mask_terms = row_flat_terms(fresh(M)), flat_minor_terms(E)
-    realized_terms = flat_minor_terms(fresh(M))
-    for F in flats(E).flats:
-        assert rows_terms(F) == mask_terms(F) == realized_terms(F)
+    rows_terms, mask_terms = row_flat_terms(fresh(M)), mask_flat_terms(E)
+    realized_terms = mask_flat_terms(fresh(M))
+    views = [rows_terms(F) for F in flats(E).flats]
+    assert views == [mask_terms(F) for F in flats(E).flats]
+    assert views == [realized_terms(F) for F in flats(E).flats]
+    assert list(flat_terms(fresh(M))) == views == list(flat_terms(E))
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 9), r=st.integers(0, 5))
