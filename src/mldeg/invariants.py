@@ -15,24 +15,29 @@ labelled minor, so it serves as its memo key.
 
 Besides its key, each view carries a state down the recursion, and a small
 oracle answers what the recursions ask of a view: cl(C + S) with the state
-that goes with it, which elements have a parallel partner in R, whether e
-is a coloop, and the coloops of R.
+that goes with it, the state after deleting e, which elements have a
+parallel partner in R, whether e is a coloop, and the coloops of R.
 
   _MaskViews  the state is empty, and every answer is a rank_mask or
               closure_mask query of the input on the whole ground set.
               This is the only route for explicit input and the reference
               the tests compare the row route with.
-  _RowViews   for realized input, the state is the integer rows of the
-              input projected modulo span(C), each divided by its content:
-              r - rk(C) rows over all n columns, whose zero columns are
-              exactly C.  Deleting e keeps the rows.  Contracting e is one
-              fraction-free pivot step on column e, and cl(C + e) is C plus
-              the columns that step zeroes.  Elements of R are parallel when
-              their columns are multiples of each other, and coloops come
-              from one small elimination of the rows restricted to R.  So
-              tutte and char_poly make no rank or closure query of the
-              input, they leave its mask caches empty, and the rows in
-              flight take recursion depth x r x n integers.
+  _RowViews   for realized input, by a subspace L, the state is a pair of
+              integer row sets over all n columns, each row divided by its
+              content.  The primal rows are those of L taken modulo
+              span(C): r - rk(C) rows whose zero columns are exactly C.  The
+              dual rows are those of the orthogonal complement of L, which
+              realizes the dual matroid M*, taken modulo the deleted columns
+              E - (R + C).  Since (M\\e)* = M*/e, a view's minor has as its
+              dual the matroid of the dual rows on R, so the coloops of R
+              are the dual rows' zero columns in R.  Contracting e is one
+              fraction-free pivot step on the primal column e, and cl(C + e)
+              is C plus the columns that step zeroes; deleting e is the same
+              step on the dual column e.  Elements of R are parallel when
+              their primal columns are multiples of each other.  So tutte
+              and char_poly make no rank or closure query of the input, they
+              leave its mask caches empty, and the rows in flight take
+              recursion depth x n x n integers.
 
 flat_terms reads chi(M|F) and |mu(M/F)| of every flat F off the lattice of
 flats, with no view recursion, so the two sides of verify_stratification
@@ -49,7 +54,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .linalg import _bareiss_echelon, _pivot
+from .linalg import _modulo, _null_vectors, _pivot
 from .matroids import Matroid, _mask_of, flats
 from .ratpoly import BiPoly, UniPoly, _frozen
 
@@ -76,14 +81,17 @@ class _MaskViews:
     def contract(self, C: int, state: None, S: int) -> tuple[int, None]:
         return self.closure(C | S), None
 
-    def drop_parallel(self, R: int, C: int, state: None) -> int:
+    def delete(self, state: None, e: int) -> None:
+        return None
+
+    def drop_parallel(self, R: int, C: int, state: None) -> tuple[int, None]:
         closure = self.closure
         while R:
             e = R & -R
             if not (closure(C | e) & R) ^ e:
                 break
             R ^= e
-        return R
+        return R, None
 
     def is_coloop(self, R: int, C: int, state: None, e: int) -> bool:
         return self.rank((R ^ e) | C) < self.rank(R | C)
@@ -97,33 +105,40 @@ class _MaskViews:
         return coloops
 
 
+# The state of a row view: (primal rows, dual rows).
+_State = tuple[list[list[int]], list[list[int]]]
+
+
 class _RowViews:
-    """View oracle on the integer rows of a realized M modulo span(C)."""
+    """View oracle on the integer rows of a realized M modulo span(C), and
+    the rows of its orthogonal complement modulo the deleted columns."""
 
     def __init__(self, M: Matroid):
-        self.ground = (1 << M.n) - 1
-        # The primitive integer rref rows the subspace of M stores.
-        self.rows = M._int_rows
+        self.n = M.n
+        # The primitive integer rref rows the subspace of M stores, and a
+        # basis of their orthogonal complement.
+        self.rows = M.subspace.rows
+        self.dual = _null_vectors(M.subspace)
 
-    def start(self) -> tuple[int, list[list[int]]]:
-        return self.contract(0, self.rows, 0)
+    def start(self) -> tuple[int, _State]:
+        return self.contract(0, (self.rows, self.dual), 0)
 
-    def contract(self, C: int, rows: list[list[int]], S: int
-                 ) -> tuple[int, list[list[int]]]:
-        """cl(C + S) and the rows modulo its span: a pivot step on each
-        column of S still nonzero, then C grows by the zero columns."""
-        for j in _indices(S & ~C):
-            rows = _pivot(rows, j)
-        if not rows:
-            return self.ground, rows
-        for j, column in enumerate(zip(*rows)):
-            if not any(column):
-                C |= 1 << j
-        return C, rows
+    def contract(self, C: int, state: _State, S: int) -> tuple[int, _State]:
+        """cl(C + S) and the state with the primal rows modulo its span."""
+        rows, dual = state
+        rows, C = _modulo(rows, S & ~C, self.n)
+        return C, (rows, dual)
 
-    def drop_parallel(self, R: int, C: int, rows: list[list[int]]) -> int:
+    def delete(self, state: _State, e: int) -> _State:
+        """The state with the dual rows modulo their column e."""
+        rows, dual = state
+        return rows, _pivot(dual, e.bit_length() - 1)
+
+    def drop_parallel(self, R: int, C: int, state: _State) -> tuple[int, _State]:
         # f is parallel to e when column f is a multiple of column e; the
-        # loop stops at the first e with no such f left in R.
+        # loop stops at the first e with no such f left in R.  Each dropped
+        # e is deleted, so the dual rows pivot on it.
+        rows, dual = state
         columns = list(zip(*rows))
         while R:
             e = R & -R
@@ -138,27 +153,19 @@ class _RowViews:
             else:
                 break
             R ^= e
-        return R
+            dual = _pivot(dual, e.bit_length() - 1)
+        return R, (rows, dual)
 
-    def is_coloop(self, R: int, C: int, rows: list[list[int]], e: int) -> bool:
-        # With column e last, e is a coloop of R exactly when it pivots.
-        cols = _indices(R ^ e) + [e.bit_length() - 1]
-        _, piv = _bareiss_echelon([[row[j] for j in cols] for row in rows])
-        return piv[-1] == len(cols) - 1
+    def is_coloop(self, R: int, C: int, state: _State, e: int) -> bool:
+        j = e.bit_length() - 1
+        return not any(row[j] for row in state[1])
 
-    def coloops(self, R: int, C: int, rows: list[list[int]]) -> int:
-        # In the reduced echelon form a pivot column is a coloop exactly when
-        # no free column uses its row.
-        cols = _indices(R)
-        if not cols:
-            return 0
-        ech, piv = _bareiss_echelon([[row[j] for j in cols] for row in rows],
-                                    reduced=True)
-        free = sorted(set(range(len(cols))).difference(piv))
+    def coloops(self, R: int, C: int, state: _State) -> int:
+        dual = state[1]
         coloops = 0
-        for row, k in zip(ech, piv):
-            if not any(row[f] for f in free):
-                coloops |= 1 << cols[k]
+        for j in _indices(R):
+            if not any(row[j] for row in dual):
+                coloops |= 1 << j
         return coloops
 
 
@@ -179,23 +186,22 @@ def tutte(M: Matroid) -> BiPoly:
     views = _views(M)
     memo: dict[tuple[int, int], BiPoly] = {}
 
-    def view(R: int, C: int, state, coloop_free: bool = False) -> BiPoly:
+    def view(R: int, C: int, state) -> BiPoly:
         key = (R, C)
         cached = memo.get(key)
         if cached is not None:
             return cached
         loops = R & C
         R ^= loops
-        # Contracting an element of a coloop-free view leaves it coloop-free.
-        coloops = 0 if coloop_free else views.coloops(R, C, state)
+        coloops = views.coloops(R, C, state)
         if coloops:
             R ^= coloops
             C, state = views.contract(C, state, coloops)
         if R:
             e = R & -R
             R ^= e
-            value = (view(R, C, state)
-                     + view(R, *views.contract(C, state, e), True))
+            value = (view(R, C, views.delete(state, e))
+                     + view(R, *views.contract(C, state, e)))
         else:
             value = _BI_ONE
         if coloops or loops:
@@ -260,7 +266,7 @@ class _ViewChi:
         if R & C:
             return UniPoly.zero()
         views = self.views
-        R = views.drop_parallel(R, C, state)
+        R, state = views.drop_parallel(R, C, state)
         if not R:
             return UniPoly.one()
         key = (R, C)
@@ -273,7 +279,8 @@ class _ViewChi:
         if views.is_coloop(R, C, state, e):
             value = _T_MINUS_ONE * self.chi(rest, Ce, state_e)
         else:
-            value = self.chi(rest, C, state) - self.chi(rest, Ce, state_e)
+            value = (self.chi(rest, C, views.delete(state, e))
+                     - self.chi(rest, Ce, state_e))
         self.memo[key] = value
         return value
 

@@ -31,7 +31,7 @@ from itertools import combinations
 from .linalg import (
     QMatrix,
     Subspace,
-    _pivot,
+    _modulo,
     contract_subspace,
     rank_int_rows,
     restrict_subspace,
@@ -54,7 +54,6 @@ class Matroid:
     __slots__ = (
         "n",
         "_subspace",
-        "_int_rows",
         "_bases",
         "_basis_masks",
         "_holders",
@@ -74,7 +73,6 @@ class Matroid:
             raise ValueError("provide exactly one of subspace or bases")
         self.n = n
         self._subspace = subspace
-        self._int_rows = None
         self._bases = None
         self._basis_masks = None
         self._holders = None
@@ -89,7 +87,6 @@ class Matroid:
         if subspace is not None:
             if subspace.ambient_n != n:
                 raise ValueError("subspace ambient dimension must equal n")
-            self._int_rows = subspace.rows
         else:
             blist = [frozenset(int(e) for e in b) for b in bases]
             if not blist:
@@ -179,12 +176,12 @@ class Matroid:
         """Rank of the subset whose element e sits at bit e - 1."""
         cached = self._rank_cache.get(mask)
         if cached is None:
-            if self._basis_masks is not None:
+            if self._subspace is None:
                 cached = self._greedy(mask)[0]
             else:
                 cols = [j for j in range(self.n) if mask >> j & 1]
                 cached = rank_int_rows(
-                    [[row[j] for j in cols] for row in self._int_rows]
+                    [[row[j] for j in cols] for row in self._subspace.rows]
                 ) if cols else 0
             self._rank_cache[mask] = cached
         return cached
@@ -193,15 +190,15 @@ class Matroid:
         """Mask of the largest superset of `mask` with the same rank.
 
         A realized matroid reads it off its integer rows taken modulo the
-        columns of `mask`: one pivot step per column, after which a column
-        is zero exactly when it lies in the closure.  The ranks of `mask`
-        and of each `mask` plus one element come out on the way and are
-        cached.  An explicit matroid adds each element that no basis
-        holding the greedy independent subset of `mask` holds.
+        columns of `mask` (linalg._modulo): a column is zero afterwards
+        exactly when it lies in the closure.  The ranks of `mask` and of
+        each `mask` plus one element come out on the way and are cached.
+        An explicit matroid adds each element that no basis holding the
+        greedy independent subset of `mask` holds.
         """
         cached = self._closure_cache.get(mask)
         if cached is None:
-            if self._int_rows is None:
+            if self._subspace is None:
                 rk, live = self._greedy(mask)
                 self._rank_cache[mask] = rk
                 cached = mask
@@ -209,20 +206,14 @@ class Matroid:
                     if not live & held:
                         cached |= 1 << j
             else:
-                rows = self._int_rows
-                for j in range(self.n):
-                    if mask >> j & 1:
-                        rows = _pivot(rows, j)
-                rk = len(self._int_rows) - len(rows)
+                rows, cached = _modulo(self._subspace.rows, mask, self.n)
+                rk = self._subspace.dim - len(rows)
                 self._rank_cache[mask] = rk
-                nonzero = [any(column) for column in zip(*rows)] or [False] * self.n
-                cached = mask
-                for j, grows in enumerate(nonzero):
+                for j in range(self.n):
                     bit = 1 << j
                     if not mask & bit:
-                        self._rank_cache.setdefault(mask | bit, rk + grows)
-                        if not grows:
-                            cached |= bit
+                        self._rank_cache.setdefault(mask | bit,
+                                                    rk + (not cached & bit))
             self._closure_cache[mask] = cached
         return cached
 
@@ -240,13 +231,13 @@ class Matroid:
 
     def loops(self) -> tuple[int, ...]:
         """Zero columns of a realization, or elements in no basis."""
-        if self._basis_masks is not None:
+        if self._subspace is None:
             covered = 0
             for b in self._basis_masks:
                 covered |= b
             return tuple(e for e in self.ground if not covered >> (e - 1) & 1)
         return tuple(j + 1 for j in range(self.n)
-                     if not any(row[j] for row in self._int_rows))
+                     if not any(row[j] for row in self._subspace.rows))
 
     def coloops(self) -> tuple[int, ...]:
         r = self.full_rank()
@@ -399,18 +390,21 @@ def flats(M: Matroid) -> FlatLattice:
                 rest &= ~G
         if not found:
             break
-        levels.append(sorted(found, key=lambda G: sorted(_elements_of(G))))
+        levels.append(found)
+    sets: list[frozenset] = []
     masks: list[int] = []
     ranks: list[int] = []
     mobius: list[int] = []
     for k, level in enumerate(levels):
+        # Each flat becomes a set once, which orders the level and is kept.
         lower = list(zip(masks, mobius))
-        for F in level:
+        for S, F in sorted(((_elements_of(G), G) for G in level),
+                           key=lambda pair: sorted(pair[0])):
             mobius.append(-sum(mu for G, mu in lower if G & F == G) if k else 1)
-        masks.extend(level)
+            sets.append(S)
+            masks.append(F)
         ranks.extend([k] * len(level))
-    lattice = FlatLattice(tuple(_elements_of(F) for F in masks), tuple(ranks),
-                          tuple(mobius))
+    lattice = FlatLattice(tuple(sets), tuple(ranks), tuple(mobius))
     M._lattice = lattice
     return lattice
 

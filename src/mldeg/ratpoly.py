@@ -78,10 +78,6 @@ class UniPoly:
     def one(cls) -> "UniPoly":
         return cls((1,))
 
-    @classmethod
-    def t(cls) -> "UniPoly":
-        return cls((0, 1))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -209,19 +205,8 @@ class BiPoly:
     def one(cls) -> "BiPoly":
         return cls({(0, 0): 1})
 
-    @classmethod
-    def x(cls) -> "BiPoly":
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def y(cls) -> "BiPoly":
-        return cls({(0, 1): 1})
-
     def items(self):
         return self._terms.items()
-
-    def coefficient(self, i: int, j: int) -> int:
-        return self._terms.get((i, j), 0)
 
     def is_zero(self) -> bool:
         return not self._terms

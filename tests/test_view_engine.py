@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 import mldeg.invariants
+import mldeg.linalg
 import mldeg.mldegree
 from hypothesis import given, strategies as st
 
@@ -39,7 +40,9 @@ from mldeg import (
 from conftest import (
     _explicit_copy, corpus, corpus_upto, random_matrix, vamos_matroid,
 )
-from mldeg.invariants import _MaskViews, _RowViews, _view_chi, flat_terms
+from mldeg.invariants import (
+    _MaskViews, _RowViews, _indices, _view_chi, flat_terms,
+)
 
 
 def fresh(M: Matroid) -> Matroid:
@@ -154,17 +157,21 @@ def mask_flat_terms(M: Matroid):
 
 
 def row_flat_terms(M: Matroid):
-    """mask_flat_terms on the row route: the view (E - F, F) starts from
-    the rows reduced modulo span(F)."""
+    """mask_flat_terms on the row route: the view (F, cl(empty)) starts
+    from the dual rows reduced modulo the deleted columns E - F, and the
+    view (E - F, F) from the primal rows reduced modulo span(F)."""
     views = _RowViews(M)
     chi = _view_chi(views)
     ground = (1 << M.n) - 1
-    bottom, rows = views.start()
+    bottom, start = views.start()
 
     def terms(F):
         mask = M.mask(F)
-        top = chi(ground ^ mask, *views.contract(bottom, rows, mask))
-        return chi(mask, bottom, rows), abs(top.evaluate(0))
+        state = start
+        for j in _indices(ground ^ mask):
+            state = views.delete(state, 1 << j)
+        top = chi(ground ^ mask, *views.contract(bottom, start, mask))
+        return chi(mask, bottom, state), abs(top.evaluate(0))
 
     return terms
 
@@ -202,10 +209,11 @@ def test_fraction_entries_and_row_content():
     # Every contraction by one element leaves r - 1 primitive rows whose zero
     # columns are the closure, and some pivot step meets content > 1.
     views = _RowViews(fresh(M))
-    bottom, start = views.start()
+    bottom, state = views.start()
+    start = state[0]
     divided = False
     for j in range(M.n):
-        C, projected = views.contract(bottom, start, 1 << j)
+        C, (projected, _) = views.contract(bottom, state, 1 << j)
         assert C == M.closure_mask(1 << j)
         assert len(projected) == M.full_rank() - 1
         assert all(gcd(*row) == 1 for row in projected)
@@ -218,17 +226,19 @@ def test_fraction_entries_and_row_content():
 
 def test_free_matroid_pivots_once_per_element(monkeypatch):
     # Every element is a coloop, so neither recursion may take a deletion
-    # branch: n pivot steps each, not 2^n.
+    # branch: n pivot steps each, not 2^n.  Contractions pivot inside
+    # linalg._modulo and deletions in mldeg.invariants; both are counted.
     n = 6
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     M = Matroid.from_matrix(QMatrix.from_rows(identity))
     pivots = []
-    pivot = mldeg.invariants._pivot
+    pivot = mldeg.linalg._pivot
 
     def counted(rows, j):
         pivots.append(j)
         return pivot(rows, j)
 
+    monkeypatch.setattr(mldeg.linalg, "_pivot", counted)
     monkeypatch.setattr(mldeg.invariants, "_pivot", counted)
     assert tutte(fresh(M)) == BiPoly({(n, 0): 1})
     assert sorted(pivots) == list(range(n))
@@ -237,6 +247,43 @@ def test_free_matroid_pivots_once_per_element(monkeypatch):
     assert sorted(pivots) == list(range(n))
     monkeypatch.undo()
     check_rows_against_masks(M)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 9), r=st.integers(0, 5))
+def test_row_coloops_match_mask_coloops_along_walks(seed, n, r):
+    # Random walks of deletions, contractions and parallel drops from the
+    # start view; every view reached must read the same coloops off its
+    # dual rows as the mask oracle finds by rank queries.
+    rng = random.Random(seed)
+    M = Matroid.from_matrix(random_matrix(rng, n, min(n, r)))
+    rows, masks = _RowViews(M), _MaskViews(M)
+    for _ in range(3):
+        C, state = rows.start()
+        assert C == masks.start()[0]
+        R = ((1 << n) - 1) & ~C
+        while True:
+            assert rows.coloops(R, C, state) == masks.coloops(R, C, None)
+            for j in _indices(R):
+                assert (rows.is_coloop(R, C, state, 1 << j)
+                        == masks.is_coloop(R, C, None, 1 << j))
+            if not R:
+                break
+            move = rng.random()
+            if move < 0.2:
+                dropped, state = rows.drop_parallel(R, C, state)
+                assert dropped == masks.drop_parallel(R, C, None)[0]
+                if dropped != R:
+                    R = dropped
+                    continue
+            e = 1 << rng.choice(_indices(R))
+            R ^= e
+            if move < 0.6:
+                state = rows.delete(state, e)
+            else:
+                Ce, state = rows.contract(C, state, e)
+                assert Ce == masks.contract(C, None, e)[0]
+                C = Ce
+                R &= ~C
 
 
 def test_row_route_leaves_the_mask_caches_empty():
