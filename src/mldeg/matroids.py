@@ -47,8 +47,9 @@ class Matroid:
     they grow with every view, flat and minor a kept Matroid is asked
     about.  Two paths fill them: the closures of the `flats` walk and every
     query on an explicit-bases input, one rank entry per query, a closure
-    included.  Tutte and chi on a realized input leave them empty.  Drop the Matroid to free them.  An explicit input builds
-    its basis bitsets `_holders` on its first query, not on construction.
+    included.  Tutte and chi on a realized input leave them empty.  Drop
+    the Matroid to free them.  An explicit input builds its basis bitsets
+    `_holders` on its first query, not on construction.
     """
 
     __slots__ = (
@@ -62,6 +63,7 @@ class Matroid:
         "_lattice",
         "_components",
         "_charpoly",
+        "_dc_poly",
         "_flat_terms",
     )
 
@@ -82,6 +84,8 @@ class Matroid:
         self._components = None
         # Characteristic polynomial, set by mldeg.invariants.char_poly.
         self._charpoly = None
+        # Deletion-contraction count in d, set by mldeg.mldegree._dc_poly.
+        self._dc_poly = None
         # (chi(M|F), |mu(M/F)|) per flat, set by verify_stratification.
         self._flat_terms = None
         if subspace is not None:

@@ -31,7 +31,9 @@ def parse_rational(text: object) -> Fraction:
     """Parse a rational from its canonical string form ("2/5", "-3").
 
     Plain ints are accepted for convenience; floats are rejected because the
-    package has no floating-point mode.
+    package has no floating-point mode.  Decimal strings ("1.5") are read
+    exactly, but exponent notation is refused: Fraction would expand the
+    ten-character "1e10000000" into an integer of 33 million bits.
     """
     if isinstance(text, bool):
         raise ValueError(f"not a rational value: {text!r}")
@@ -40,6 +42,8 @@ def parse_rational(text: object) -> Fraction:
     if isinstance(text, Fraction):
         return text
     if isinstance(text, str):
+        if "e" in text or "E" in text:
+            raise ValueError(f"not a rational value (no exponents): {text!r}")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:

@@ -17,7 +17,7 @@ from itertools import combinations
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from mldeg import Matroid, QMatrix, uniform_matroid
+from mldeg import Matroid, QMatrix, UniPoly, uniform_matroid
 
 settings.register_profile(
     "suite",
@@ -56,6 +56,68 @@ def vamos_matroid() -> Matroid:
         if frozenset(c) not in VAMOS_NONBASES
     ]
     return Matroid.from_bases(8, bases)
+
+
+def _unit(n: int, i: int) -> list[int]:
+    return [int(k == i) for k in range(n)]
+
+
+def _edge(n: int, i: int, j: int) -> list[int]:
+    """The column e_i - e_j of R^n."""
+    return [a - b for a, b in zip(_unit(n, i), _unit(n, j))]
+
+
+def family_columns(family: str, n: int) -> list[list[int]]:
+    """Columns of a structured arrangement with a classical chi:
+
+      "K"  the graphic K_n (braid A_{n-1}): e_i - e_j, rank n - 1;
+      "B"  the type-B B_n: e_i and e_i +- e_j, rank n;
+      "D"  the type-D D_n: e_i +- e_j, rank n;
+      "W"  the wheel W_n: e_i - e_j on the edges of a hub (vertex 0) with
+           n spokes and a rim cycle 1, ..., n, rank n.
+    """
+    if family == "K":
+        return [_edge(n, i, j) for i, j in combinations(range(n), 2)]
+    if family == "D":
+        return [[a + s * b for a, b in zip(_unit(n, i), _unit(n, j))]
+                for i, j in combinations(range(n), 2) for s in (1, -1)]
+    if family == "B":
+        return [_unit(n, i) for i in range(n)] + family_columns("D", n)
+    if family == "W":
+        edges = [(0, i) for i in range(1, n + 1)]
+        edges += [(i, i % n + 1) for i in range(1, n + 1)]
+        return [_edge(n + 1, i, j) for i, j in edges]
+    raise ValueError(f"unknown family {family!r}")
+
+
+def family_matroid(family: str, n: int) -> Matroid:
+    columns = family_columns(family, n)
+    return Matroid.from_matrix(QMatrix.from_rows(
+        [list(row) for row in zip(*columns)], cols=len(columns)))
+
+
+def family_roots(family: str, n: int) -> list[int]:
+    """The roots a_i of chi = prod (t - a_i) of K_n, B_n and D_n (Stanley,
+    "An introduction to hyperplane arrangements"); the wheel's chi does not
+    split."""
+    if family == "K":
+        return list(range(1, n))
+    if family == "B":
+        return list(range(1, 2 * n, 2))
+    if family == "D":
+        return list(range(1, 2 * n - 2, 2)) + [n - 1]
+    raise ValueError(f"no root list for family {family!r}")
+
+
+def family_chi(family: str, n: int) -> UniPoly:
+    """Closed form of chi: the product over family_roots, and
+    (t - 2)^n + (-1)^n (t - 2) for the wheel W_n."""
+    if family == "W":
+        return UniPoly((-2, 1)) ** n + UniPoly((-2, 1)).scale((-1) ** n)
+    chi = UniPoly.one()
+    for a in family_roots(family, n):
+        chi = chi * UniPoly((-a, 1))
+    return chi
 
 
 def random_matrix(rng: random.Random, n: int, r: int) -> QMatrix:

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,21 @@ class TestInvariants:
                           {"rows": 1, "cols": 1, "entries": [[1.25]]})
         code, _, err = run(capsys, "invariants", "--input", str(path))
         assert code == EXIT_USAGE
+
+
+    def test_exponent_entry_fails_fast(self, tmp_path):
+        # Read as a Fraction, "1e30000000" is an integer of about 100
+        # million bits; refusing the exponent keeps the command instant.
+        path = write_json(tmp_path, "m.json", {"rows": 1, "cols": 2,
+                                               "entries": [["1e30000000", "1"]]})
+        env = dict(os.environ, PYTHONPATH=str(Path(mldeg.__file__).resolve().parents[1]))
+        start = time.perf_counter()
+        run = subprocess.run([sys.executable, "-m", "mldeg.cli", "rmld", "--input", path],
+                             env=env, capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert run.returncode == EXIT_USAGE, run.stderr
+        assert "1e30000000" in run.stderr and run.stdout == ""
+        assert elapsed < 1.0, elapsed
 
 
 class TestScoreCountAndRmld:

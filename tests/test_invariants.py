@@ -25,7 +25,7 @@ from mldeg import (
 
 from mldeg.invariants import flat_terms
 
-from conftest import corpus_upto, k4_matroid
+from conftest import corpus_upto, family_chi, family_matroid, k4_matroid
 
 
 def mat(rows, cols=None):
@@ -109,6 +109,24 @@ class TestCharPoly:
         for M in corpus_upto(8, loopless=True)[:60]:
             if M.n >= 1:
                 assert char_poly(M).evaluate(1) == 0
+
+
+class TestStructuredFamilies:
+    """chi and rmld of the graphic K_n, the type-B and type-D arrangements
+    and the wheels, against their closed forms."""
+
+    RMLD = {
+        ("K", 3): 3, ("K", 4): 15, ("K", 5): 105, ("K", 6): 945,
+        ("B", 2): 5, ("B", 3): 45, ("B", 4): 585,
+        ("D", 3): 15, ("D", 4): 225, ("D", 5): 4095,
+        ("W", 3): 15, ("W", 4): 57, ("W", 5): 195, ("W", 6): 633,
+    }
+
+    @pytest.mark.parametrize("family, n", sorted(RMLD))
+    def test_closed_forms(self, family, n):
+        M = family_matroid(family, n)
+        assert char_poly(M) == family_chi(family, n)
+        assert rmld(M) == self.RMLD[family, n]
 
 
 class TestMobius:

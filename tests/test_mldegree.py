@@ -1,13 +1,20 @@
 from fractions import Fraction
+from math import prod
 
+import mldeg.invariants
+import mldeg.linalg
+import mldeg.matroids
 import mldeg.mldegree
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mldeg import (
     BiPoly,
     Matroid,
     QMatrix,
     Subspace,
+    char_poly,
     classify_rmld_one,
     ml_degree_report,
     mld,
@@ -19,8 +26,14 @@ from mldeg import (
     uniform_tutte,
     verify_stratification,
 )
+from mldeg.matroids import contract_set, restrict
+from mldeg.mldegree import _dc_poly
+from mldeg.ratpoly import UniPoly
 
-from conftest import corpus_upto, k4_matroid, vamos_matroid
+from conftest import (
+    _explicit_copy, corpus_upto, family_chi, family_matroid, family_roots,
+    k4_matroid, vamos_matroid,
+)
 
 
 def mat(rows, cols=None):
@@ -109,6 +122,154 @@ class TestScoreCountDc:
         for M in corpus_upto(7)[:60]:
             for d in (1, 2, 3, 4):
                 assert score_count(M, d) == score_count_dc(M, d)
+
+
+def reference_score_count_dc(M: Matroid, d: int) -> int:
+    """The deletion-contraction count on minors built as Matroids by
+    `restrict` and `contract_set`, one count per d, memoized on the same
+    data as the production route: the rref rows or the basis masks."""
+    memo: dict = {}
+
+    def count(N: Matroid) -> int:
+        if N.loops():
+            return 0
+        if N.n == 0:
+            return 1
+        key = (N.n, N.subspace.rows if N.is_realized else frozenset(N._basis_masks))
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        contracted, _ = contract_set(N, {1})
+        deleted, _ = restrict(N, range(2, N.n + 1))
+        if deleted.full_rank() < N.full_rank():  # 1 is a coloop
+            value = (d - 1) * count(contracted)
+        else:
+            value = count(deleted) + d * count(contracted)
+        memo[key] = value
+        return value
+
+    return count(M)
+
+
+@st.composite
+def planted_matrices(draw):
+    """Integer matrices whose columns mix free ones with planted loops,
+    parallel copies of earlier columns and coloops, in a drawn order.  A
+    coloop is a column that alone has a nonzero entry in a row of its own."""
+    r = draw(st.integers(1, 4))
+    columns: list[list[int]] = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["free", "free", "loop", "parallel"]))
+        if kind == "loop":
+            columns.append([0] * r)
+        elif kind == "parallel" and columns:
+            source = draw(st.sampled_from(columns))
+            k = draw(st.sampled_from([1, -1, 2, -3]))
+            columns.append([k * a for a in source])
+        else:
+            columns.append(draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r)))
+    coloops = draw(st.integers(0, 2))
+    width = r + coloops
+    columns = [col + [0] * coloops for col in columns]
+    columns += [[int(i == r + k) for i in range(width)] for k in range(coloops)]
+    order = draw(st.permutations(range(len(columns))))
+    return QMatrix.from_rows([[columns[j][i] for j in order] for i in range(width)],
+                             cols=len(columns))
+
+
+def chi_expansion(M: Matroid) -> UniPoly:
+    """(-d)^r chi(1/d) = (-1)^r sum_k chi_k d^(r-k), as a polynomial in d."""
+    r = M.full_rank()
+    chi = char_poly(M).coeffs
+    if not chi:
+        return UniPoly.zero()
+    sign = -1 if r % 2 else 1
+    return UniPoly(sign * c for c in reversed(chi + (0,) * (r + 1 - len(chi))))
+
+
+class TestDeletionContractionRoute:
+    """score_count_dc on the minors' rows and masks against the reference
+    that builds every minor as a Matroid, and against chi."""
+
+    @given(planted_matrices())
+    def test_matches_reference_on_planted_inputs(self, A):
+        M = Matroid.from_matrix(A)
+        E = _explicit_copy(M)
+        for d in (1, 2, 3, 4):
+            expected = reference_score_count_dc(M, d)
+            assert reference_score_count_dc(E, d) == expected
+            assert score_count_dc(M, d) == score_count_dc(E, d) == expected
+        assert _dc_poly(M) == _dc_poly(E) == chi_expansion(M)
+
+    def test_matches_reference_on_corpus(self):
+        for M in corpus_upto(8)[:80]:
+            for d in (1, 2, 3):
+                assert score_count_dc(M, d) == reference_score_count_dc(M, d)
+            assert _dc_poly(M) == chi_expansion(M)
+
+    @given(planted_matrices())
+    def test_minors_are_canonical_rows(self, A):
+        # Each realized minor is visited as the primitive rref rows that
+        # Subspace stores, so equal minors share one memo entry.
+        seen = []
+        route = mldeg.mldegree._dc_rows
+
+        def record(rows, memo):
+            seen.append(rows)
+            return route(rows, memo)
+
+        mldeg.mldegree._dc_rows = record
+        try:
+            score_count_dc(Matroid.from_matrix(A), 2)
+        finally:
+            mldeg.mldegree._dc_rows = route
+        for rows in seen:
+            assert Subspace.from_matrix(Subspace(len(rows[0]), rows).basis).rows == rows
+
+    def test_one_pass_serves_every_exponent(self, monkeypatch):
+        M, E = k4_matroid(), _explicit_copy(k4_matroid())
+        first = (score_count_dc(M, 1), score_count_dc(E, 1))
+
+        def refuse(*_):
+            raise AssertionError("deletion-contraction ran twice")
+
+        monkeypatch.setattr(mldeg.mldegree, "_dc_rows", refuse)
+        monkeypatch.setattr(mldeg.mldegree, "_dc_masks", refuse)
+        assert first == (0, 0)
+        for d in (2, 3, 4):
+            assert score_count_dc(M, d) == score_count_dc(E, d) == score_count(M, d)
+
+    def test_shares_no_code_with_chi(self, monkeypatch):
+        inputs = (k4_matroid(), _explicit_copy(k4_matroid()), vamos_matroid())
+
+        def refuse(*_):
+            raise AssertionError("deletion-contraction used the chi machinery")
+
+        for module, name in ((mldeg.mldegree, "char_poly"), (mldeg.invariants, "char_poly"),
+                             (mldeg.invariants, "_view_chi"), (mldeg.linalg, "_pivot"),
+                             (mldeg.linalg, "_modulo"), (mldeg.matroids, "_modulo")):
+            monkeypatch.setattr(module, name, refuse)
+        for M in inputs:
+            assert score_count_dc(M, 2) == (15 if M.n == 6 else 169)
+
+
+class TestStructuredCounts:
+    """score_count_dc on K4, K5, B3, D4, W3 and W4, realized and as
+    explicit-bases copies, against the closed forms of chi: prod (d a_i - 1)
+    when chi = prod (t - a_i), and (-d)^m chi(1/d) for the wheel W_m."""
+
+    @pytest.mark.parametrize("family, n", [("K", 4), ("K", 5), ("B", 3), ("D", 4),
+                                           ("W", 3), ("W", 4)])
+    def test_counts_match_closed_forms(self, family, n):
+        M = family_matroid(family, n)
+        E = _explicit_copy(M)
+        r = M.full_rank()
+        for d in (1, 2, 3, 4):
+            if family == "W":
+                expected = (-d) ** r * family_chi(family, n).evaluate(Fraction(1, d))
+            else:
+                expected = prod(d * a - 1 for a in family_roots(family, n))
+            assert score_count_dc(M, d) == score_count_dc(E, d) == expected
 
 
 class TestUniformForms:

@@ -22,7 +22,8 @@ class TestRational:
         assert format_rational(Fraction(-6, 2)) == "-3"
         assert format_rational(Fraction(0, 9)) == "0"
 
-    @pytest.mark.parametrize("bad", ["x", None, 2.5, True, "1/0", [1]])
+    @pytest.mark.parametrize("bad", ["x", None, 2.5, True, "1/0", [1],
+                                     "1e10000000", "2E3", "1.5e-2", "1/2e5"])
     def test_rejects_non_rationals(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
