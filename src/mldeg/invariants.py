@@ -55,7 +55,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .linalg import _modulo, _null_vectors, _pivot
-from .matroids import Matroid, _mask_of, flats
+from .matroids import Matroid, _mobius_sums, flats
 from .ratpoly import BiPoly, UniPoly, _frozen
 
 
@@ -306,32 +306,27 @@ def _char_poly_from_tutte(T: BiPoly, r: int) -> UniPoly:
 
 
 def flat_terms(M: Matroid) -> tuple[tuple[UniPoly, int], ...]:
-    """chi(M|F) and |mu(M/F)| for every flat F of M, in lattice order.
+    """chi(M|F) and |mu(M/F)| for every flat F of M, in lattice order; kept
+    on M.
 
-    [bottom, F] is the lattice of M|F and [F, top] that of M/F, so chi(M|F)
-    is the sum of mu(bottom, G) t^(rk F - rk G) over the flats G in F (zero
-    when M has loops), and |mu(M/F)| = |mu(F, top)|, with mu(top, top) = 1
-    and mu(F, top) = -(sum of mu(G, top) over the flats G above F).  Subset
-    tests run between the flats of two ranks at a time.  Flats with equal
-    terms share one pair.
+    [bottom, F] is the lattice of M|F and [F, top] that of M/F.  So chi(M|F)
+    has the coefficients that `flats` summed rank by rank below F (zero
+    when M has loops), and |mu(M/F)| = |mu(F, top)|: the same sums run once
+    more, from the top down, on the complements of the flats.  Flats with
+    equal terms share one pair.
     """
+    if M._flat_terms is not None:
+        return M._flat_terms
     lattice = flats(M)
-    levels = [[] for _ in range(lattice.ranks[-1] + 1)]
-    for F, rk, mu in zip(lattice.flats, lattice.ranks, lattice.mobius):
-        levels[rk].append((_mask_of(F), mu))
-    # The comprehension reads `above` before it grows by the level.
-    above = [(levels[-1][0][0], 1)]
-    for level in reversed(levels[:-1]):
-        above += [(F, -sum(nu for G, nu in above if F & G == F)) for F, _ in level]
-    up = dict(above)
-    keys = []
-    for k, level in enumerate(levels):
-        for F, mu in level:
-            below = (sum(nu for G, nu in levels[j] if G & F == G)
-                     for j in range(k - 1, -1, -1))
-            keys.append((() if lattice.bottom else (mu, *below), abs(up[F])))
+    sums, top, r = M._flat_sums, (1 << M.n) - 1, lattice.ranks[-1]
+    up = _mobius_sums([top ^ F for F, _ in reversed(sums)],
+                      [r - k for k in reversed(lattice.ranks)], M.n)
+    keys = [(() if lattice.bottom else chi, abs(nu[0]))
+            for (_, chi), nu in zip(sums, reversed(up))]
     pairs = {key: (UniPoly(key[0]), key[1]) for key in set(keys)}
-    return tuple(pairs[key] for key in keys)
+    M._flat_terms = tuple(pairs[key] for key in keys)
+    M._flat_sums = None
+    return M._flat_terms
 
 
 def char_poly_flats(M: Matroid) -> UniPoly:

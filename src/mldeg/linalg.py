@@ -96,9 +96,9 @@ def _primitive(row: Sequence[int]) -> Sequence[int]:
     is positive (a zero row, or one already in that form, is returned as
     it is)."""
     g = gcd(*row)
-    if g and next(a for a in row if a) < 0:
+    if g and next(filter(None, row)) < 0:
         g = -g
-    return [a // g for a in row] if g and g != 1 else row
+    return list(map(g.__rfloordiv__, row)) if g and g != 1 else row
 
 
 def _lead(row: Sequence[int]) -> int | None:

@@ -18,8 +18,8 @@ lattice of flats, once built, is immutable.
 Minor operations relabel the surviving ground set by order-preserving
 compression and return the relabeling alongside: element k of the minor sat
 at ambient index labels[k-1].  An explicit minor filters the basis list.
-The flats are found by one walk up the ranks, and the lattice keeps only
-the Moebius values mu(bottom, F).
+The flats are found by one walk up the ranks that asks no rank or closure
+query, and the lattice keeps only the Moebius values mu(bottom, F).
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from .linalg import (
     QMatrix,
     Subspace,
     _modulo,
+    _pivot,
+    _primitive,
     contract_subspace,
     rank_int_rows,
     restrict_subspace,
@@ -44,12 +46,12 @@ class Matroid:
 
     The per-instance caches `_rank_cache` and `_closure_cache` are not
     bounded: they gain an entry for every subset mask a query reaches, so
-    they grow with every view, flat and minor a kept Matroid is asked
-    about.  Two paths fill them: the closures of the `flats` walk and every
-    query on an explicit-bases input, one rank entry per query, a closure
-    included.  Tutte and chi on a realized input leave them empty.  Drop
-    the Matroid to free them.  An explicit input builds its basis bitsets
-    `_holders` on its first query, not on construction.
+    they grow with every view and minor a kept Matroid is asked about.
+    Every rank or closure query fills them, one rank entry per query, a
+    closure included; on explicit-bases input, Tutte and chi query.  The
+    `flats` walk, and Tutte and chi on a realized input, leave them empty.
+    Drop the Matroid to free them.  An explicit input builds its basis
+    bitsets `_holders` on its first query or walk, not on construction.
     """
 
     __slots__ = (
@@ -65,6 +67,7 @@ class Matroid:
         "_charpoly",
         "_dc_poly",
         "_flat_terms",
+        "_flat_sums",
     )
 
     def __init__(self, n: int, subspace: Subspace | None = None,
@@ -86,8 +89,10 @@ class Matroid:
         self._charpoly = None
         # Deletion-contraction count in d, set by mldeg.mldegree._dc_poly.
         self._dc_poly = None
-        # (chi(M|F), |mu(M/F)|) per flat, set by verify_stratification.
+        # (chi(M|F), |mu(M/F)|) per flat, set by mldeg.invariants.flat_terms.
         self._flat_terms = None
+        # (F, coefficients of chi(M|F)) per flat, from flats to flat_terms.
+        self._flat_sums = None
         if subspace is not None:
             if subspace.ambient_n != n:
                 raise ValueError("subspace ambient dimension must equal n")
@@ -195,8 +200,8 @@ class Matroid:
 
         A realized matroid reads it off its integer rows taken modulo the
         columns of `mask` (linalg._modulo): a column is zero afterwards
-        exactly when it lies in the closure.  The ranks of `mask` and of
-        each `mask` plus one element come out on the way and are cached.
+        exactly when it lies in the closure; the rank of `mask` comes out
+        on the way and is cached.
         An explicit matroid adds each element that no basis holding the
         greedy independent subset of `mask` holds.
         """
@@ -205,19 +210,12 @@ class Matroid:
             if self._subspace is None:
                 rk, live = self._greedy(mask)
                 self._rank_cache[mask] = rk
-                cached = mask
-                for j, held in enumerate(self._holders):
-                    if not live & held:
-                        cached |= 1 << j
+                # The bits are distinct, so their sum is their union.
+                cached = mask | sum(1 << j for j, held in enumerate(self._holders)
+                                    if not live & held)
             else:
                 rows, cached = _modulo(self._subspace.rows, mask, self.n)
-                rk = self._subspace.dim - len(rows)
-                self._rank_cache[mask] = rk
-                for j in range(self.n):
-                    bit = 1 << j
-                    if not mask & bit:
-                        self._rank_cache.setdefault(mask | bit,
-                                                    rk + (not cached & bit))
+                self._rank_cache[mask] = self._subspace.dim - len(rows)
             self._closure_cache[mask] = cached
         return cached
 
@@ -352,7 +350,7 @@ class FlatLattice:
     Flats are sorted by (rank, sorted elements); flat 0 is the bottom
     (closure of the empty set), the last flat is the full ground set.
     mobius[j] = mu(F_0, F_j), the only row of the Moebius function kept;
-    flat_terms reads it and derives mu(F, top) from the flats when it runs.
+    flat_terms derives mu(F, top) from the flats when it runs.
     """
 
     flats: tuple[frozenset, ...]
@@ -374,43 +372,91 @@ def flats(M: Matroid) -> FlatLattice:
     """The lattice of flats with the Moebius values mu(bottom, F).
 
     The bottom flat is the closure of the empty set (the set of loops), so
-    the empty set is a flat exactly when the matroid is loopless.  The flats
-    of rank k + 1 are the closures of F + e over the flats F of rank k and
-    e outside F; mu(bottom, F) is minus the sum of mu(bottom, G) over the
-    flats G below F, all of smaller rank.
+    the empty set is a flat exactly when the matroid is loopless.  The walk
+    up the ranks reads the covers of each flat off its state, and the top
+    rank is the ground set alone.  The sums behind mu(bottom, F) are the
+    coefficients of chi(M|F), kept for `flat_terms`.
     """
     if M._lattice is not None:
         return M._lattice
-    closure = M.closure_mask
-    ground = (1 << M.n) - 1
-    levels = [[closure(0)]]
-    while True:
-        found = set()
-        for F in levels[-1]:
-            rest = ground & ~F
-            while rest:
-                G = closure(F | (rest & -rest))
-                found.add(G)
-                rest &= ~G
-        if not found:
-            break
-        levels.append(found)
-    sets: list[frozenset] = []
-    masks: list[int] = []
-    ranks: list[int] = []
-    mobius: list[int] = []
+    n, r = M.n, M.full_rank()
+    covers = _row_covers if M.is_realized else _basis_covers
+    states = {_mask_of(M.loops()): M.subspace.rows if M.is_realized else M._greedy(0)[1]}
+    levels = [list(states)]
+    for k in range(1, r):
+        found: dict = {}
+        for F, state in states.items():
+            covers(M, F, state, found, k < r - 1)
+        states = found
+        levels.append(list(found))
+    if r:
+        levels.append([(1 << n) - 1])
+    masks, sets, ranks = [], [], []
     for k, level in enumerate(levels):
-        # Each flat becomes a set once, which orders the level and is kept.
-        lower = list(zip(masks, mobius))
-        for S, F in sorted(((_elements_of(G), G) for G in level),
-                           key=lambda pair: sorted(pair[0])):
-            mobius.append(-sum(mu for G, mu in lower if G & F == G) if k else 1)
-            sets.append(S)
+        for indices, F in sorted(([x for x in range(n) if F >> x & 1], F) for F in level):
             masks.append(F)
-        ranks.extend([k] * len(level))
-    lattice = FlatLattice(tuple(sets), tuple(ranks), tuple(mobius))
-    M._lattice = lattice
-    return lattice
+            sets.append(frozenset(x + 1 for x in indices))
+            ranks.append(k)
+    sums = _mobius_sums(masks, ranks, n)
+    M._lattice = FlatLattice(tuple(sets), tuple(ranks), tuple(s[0] for s in sums))
+    M._flat_sums = tuple(zip(masks, sums))
+    return M._lattice
+
+
+def _row_covers(M: Matroid, F: int, rows, found: dict, walked: bool) -> None:
+    """Adds to `found` each flat of a realized M that covers F: F plus one
+    class of parallel columns of `rows`, those of M modulo span(F), and its
+    own rows, one pivot on the class, when the walk goes on (`walked`)."""
+    classes: dict[tuple, int] = {}
+    for j, column in enumerate(zip(*rows)):
+        if not F >> j & 1:
+            key = tuple(_primitive(column))
+            classes[key] = classes.get(key, 0) | 1 << j
+    for P in classes.values():
+        if F | P not in found:
+            found[F | P] = _pivot(rows, P.bit_length() - 1) if walked else None
+
+
+def _basis_covers(M: Matroid, F: int, live: int, found: dict, walked: bool) -> None:
+    """Adds to `found` each flat of an explicit M that covers F, with the
+    bitset of the bases that hold a basis of it (as `_greedy` gives it).
+    The bases in `live` hold a basis I of F; those that also hold e hold
+    I + e, and cl(F + e) is F, e and every element none of them holds."""
+    holders = M._holders
+    rest = ((1 << M.n) - 1) & ~F
+    while rest:
+        e = rest & -rest
+        hit = live & holders[e.bit_length() - 1]
+        G = F | e | sum(1 << j for j, held in enumerate(holders) if not hit & held)
+        found.setdefault(G, hit)
+        rest &= ~G
+
+
+def _mobius_sums(masks: Sequence[int], ranks: Sequence[int], n: int) -> list[tuple]:
+    """(mu(F_0, F), s_{k-1}(F), ..., s_0(F)) for each F of rank k in `masks`,
+    subsets of 0..n-1 ranked under inclusion and listed by rank from F_0:
+    s_j(F) sums mu(F_0, G) over the G of rank j in F, and mu(F_0, F) is
+    minus the sum of the s_j(F)."""
+    # Bit i of lacking[x] is set when mask i lacks x; groups maps each rank
+    # j and value mu to the bitset of the masks of rank j that have it.
+    lacking = [0] * n
+    groups: dict[tuple[int, int], int] = {}
+    out = []
+    for i, (F, k) in enumerate(zip(masks, ranks)):
+        bit = 1 << i
+        inside = bit - 1
+        for x in range(n):
+            if not F >> x & 1:
+                inside &= lacking[x]
+                lacking[x] |= bit
+        below = [0] * k
+        for (j, mu), group in groups.items():
+            if j < k:
+                below[j] += mu * (inside & group).bit_count()
+        mu = -sum(below) if k else 1
+        groups[k, mu] = groups.get((k, mu), 0) | bit
+        out.append((mu, *reversed(below)))
+    return out
 
 
 # -- connectivity ------------------------------------------------------------
@@ -425,40 +471,21 @@ def connected_components(M: Matroid) -> tuple[frozenset, ...]:
     """
     if M._components is not None:
         return M._components
-    ground = list(M.ground)
     basis: list[int] = []
-    for e in ground:
+    for e in M.ground:
         if M.rank(basis + [e]) > len(basis):
             basis.append(e)
-    r = len(basis)
-    parent = {e: e for e in ground}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    basis_set = set(basis)
-    for e in ground:
-        if e in basis_set:
-            continue
-        circuit = [e] + [
-            b for b in basis if M.rank((basis_set - {b}) | {e}) == r
-        ]
-        for other in circuit[1:]:
-            union(e, other)
-    groups: dict[int, set[int]] = {}
-    for e in ground:
-        groups.setdefault(find(e), set()).add(e)
-    comps = tuple(sorted((frozenset(g) for g in groups.values()), key=sorted))
-    M._components = comps
-    return comps
+    r, basis_set = len(basis), set(basis)
+    # Each element maps to its component so far; a circuit merges them.
+    component = {e: frozenset({e}) for e in M.ground}
+    for e in M.ground:
+        if e not in basis_set:
+            circuit = [e] + [b for b in basis if M.rank((basis_set - {b}) | {e}) == r]
+            merged = frozenset().union(*(component[x] for x in circuit))
+            for x in merged:
+                component[x] = merged
+    M._components = tuple(sorted(set(component.values()), key=sorted))
+    return M._components
 
 
 def is_partition_matroid(M: Matroid) -> bool:

@@ -284,30 +284,26 @@ def verify_stratification(L: Matroid | Subspace, d: int) -> StratificationReport
         raise ValueError("stratification identity needs a loopless matroid")
     mu_abs = abs(mobius_invariant(M))
     if d == 0:
-        top_count = score_count(M, 0)
-        contribution = FlatContribution(flat=M.ground, count=top_count, mu_contract=1)
-        return StratificationReport(
-            d=0, lhs=mu_abs, rhs=top_count, per_flat=(contribution,),
-            holds=mu_abs == top_count,
-        )
+        top = score_count(M, 0)
+        return StratificationReport(0, mu_abs, top, (FlatContribution(M.ground, top, 1),),
+                                    mu_abs == top)
     r = M.full_rank()
     lhs = d ** r * mu_abs
-    contributions = []
-    rhs = 0
     lattice = flats(M)
     # The pairs (chi(M|F), |mu(M/F)|) do not depend on d: kept on M, they
-    # serve every exponent checked, each distinct pair stored once.
-    if M._flat_terms is None:
-        M._flat_terms = flat_terms(M)
-    for F, rk, (chi_F, mu_c) in zip(lattice.flats, lattice.ranks, M._flat_terms):
-        count = _count_from_chi(chi_F, rk, d)
-        rhs += count * mu_c
-        contributions.append(
-            FlatContribution(flat=tuple(sorted(F)), count=count, mu_contract=mu_c)
-        )
-    return StratificationReport(
-        d=d, lhs=lhs, rhs=rhs, per_flat=tuple(contributions), holds=lhs == rhs
+    # serve every exponent checked, each distinct pair stored once and
+    # counted once here, keyed by identity.
+    terms = M._flat_terms if M._flat_terms is not None else flat_terms(M)
+    counts = {}
+    for pair, rk in zip(terms, lattice.ranks):
+        if id(pair) not in counts:
+            counts[id(pair)] = _count_from_chi(pair[0], rk, d)
+    contributions = tuple(
+        FlatContribution(tuple(sorted(F)), counts[id(pair)], pair[1])
+        for F, pair in zip(lattice.flats, terms)
     )
+    rhs = sum(counts[id(pair)] * pair[1] for pair in terms)
+    return StratificationReport(d, lhs, rhs, contributions, lhs == rhs)
 
 
 @_frozen

@@ -244,31 +244,12 @@ class BiPoly:
 
     def evaluate(self, x: int | Fraction, y: int | Fraction) -> int | Fraction:
         """Exact value at (x, y); int inputs stay int, Fractions stay exact."""
-        xpow: dict[int, int | Fraction] = {0: 1}
-        ypow: dict[int, int | Fraction] = {0: 1}
-
-        def power(table, base, e):
-            if e not in table:
-                table[e] = power(table, base, e - 1) * base
-            return table[e]
-
-        acc: int | Fraction = 0
-        for (i, j), c in self._terms.items():
-            acc += c * power(xpow, x, i) * power(ypow, y, j)
-        return acc
+        return sum((c * x ** i * y ** j for (i, j), c in self._terms.items()), 0)
 
     def x_slice_at_y_zero(self) -> UniPoly:
         """The univariate polynomial p(x) = self(x, 0)."""
-        if not self._terms:
-            return UniPoly.zero()
-        top = max(i for (i, j) in self._terms if j == 0) if any(
-            j == 0 for (_, j) in self._terms
-        ) else -1
-        coeffs = [0] * (top + 1)
-        for (i, j), c in self._terms.items():
-            if j == 0:
-                coeffs[i] = c
-        return UniPoly(coeffs)
+        coeffs = {i: c for (i, j), c in self._terms.items() if j == 0}
+        return UniPoly(coeffs.get(i, 0) for i in range(max(coeffs, default=-1) + 1))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self._terms == other._terms

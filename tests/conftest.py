@@ -162,6 +162,32 @@ def any_matrices(draw, max_rows=5, max_cols=6):
     return QMatrix.from_rows(grid, cols=c)
 
 
+@st.composite
+def planted_matrices(draw):
+    """Integer matrices whose columns mix free ones with planted loops,
+    parallel copies of earlier columns and coloops, in a drawn order.  A
+    coloop is a column that alone has a nonzero entry in a row of its own."""
+    r = draw(st.integers(1, 4))
+    columns: list[list[int]] = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["free", "free", "loop", "parallel"]))
+        if kind == "loop":
+            columns.append([0] * r)
+        elif kind == "parallel" and columns:
+            source = draw(st.sampled_from(columns))
+            k = draw(st.sampled_from([1, -1, 2, -3]))
+            columns.append([k * a for a in source])
+        else:
+            columns.append(draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r)))
+    coloops = draw(st.integers(0, 2))
+    width = r + coloops
+    columns = [col + [0] * coloops for col in columns]
+    columns += [[int(i == r + k) for i in range(width)] for k in range(coloops)]
+    order = draw(st.permutations(range(len(columns))))
+    return QMatrix.from_rows([[columns[j][i] for j in order] for i in range(width)],
+                             cols=len(columns))
+
+
 def mixed_copy(A: QMatrix, rng: random.Random) -> QMatrix:
     """Rows scaled by nonzero rationals and added to later rows: the same
     row space, a different matrix."""

@@ -113,7 +113,8 @@ class TestCharPoly:
 
 class TestStructuredFamilies:
     """chi and rmld of the graphic K_n, the type-B and type-D arrangements
-    and the wheels, against their closed forms."""
+    and the wheels, against their closed forms; Tutte of the small members
+    against the corank-nullity expansion."""
 
     RMLD = {
         ("K", 3): 3, ("K", 4): 15, ("K", 5): 105, ("K", 6): 945,
@@ -127,6 +128,11 @@ class TestStructuredFamilies:
         M = family_matroid(family, n)
         assert char_poly(M) == family_chi(family, n)
         assert rmld(M) == self.RMLD[family, n]
+
+    @pytest.mark.parametrize("family, n", [("K", 4), ("B", 3), ("W", 3), ("W", 4)])
+    def test_tutte_matches_bruteforce(self, family, n):
+        M = family_matroid(family, n)
+        assert tutte(M) == tutte_bruteforce(M)
 
 
 class TestMobius:

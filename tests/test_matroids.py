@@ -5,7 +5,9 @@ from itertools import chain, combinations
 import pytest
 from hypothesis import given, strategies as st
 
+import mldeg.matroids
 from mldeg import (
+    FlatLattice,
     Matroid,
     QMatrix,
     Subspace,
@@ -27,10 +29,10 @@ from mldeg import (
     uniform_matroid,
 )
 from mldeg.invariants import flat_terms
-from mldeg.matroids import check_bases
+from mldeg.matroids import _elements_of, _mask_of, check_bases
 from conftest import (
-    _explicit_copy, any_matrices, corpus, corpus_upto, k4_matroid, mixed_copy,
-    random_matrix,
+    _explicit_copy, any_matrices, corpus, corpus_upto, family_matroid, k4_matroid,
+    mixed_copy, planted_matrices, random_matrix,
 )
 
 
@@ -87,6 +89,58 @@ def mobius_all_pairs(lattice) -> dict:
                     mobius[(i, k)] for k in range(i, j) if leq[i][k] and leq[k][j]
                 )
     return mobius
+
+
+def reference_flats(M: Matroid) -> FlatLattice:
+    """The closure-driven walk that `flats` replaced.  The flats of rank
+    k + 1 are the closures of F + e over the flats F of rank k and e outside
+    F, and mu(bottom, F) is minus the sum of mu(bottom, G) over all the
+    flats G below F."""
+    closure = M.closure_mask
+    ground = (1 << M.n) - 1
+    levels = [[closure(0)]]
+    while True:
+        found = set()
+        for F in levels[-1]:
+            rest = ground & ~F
+            while rest:
+                G = closure(F | (rest & -rest))
+                found.add(G)
+                rest &= ~G
+        if not found:
+            break
+        levels.append(found)
+    sets, masks, ranks, mobius = [], [], [], []
+    for k, level in enumerate(levels):
+        lower = list(zip(masks, mobius))
+        for F in sorted(level, key=lambda G: sorted(_elements_of(G))):
+            mobius.append(-sum(mu for G, mu in lower if G & F == G) if k else 1)
+            sets.append(_elements_of(F))
+            masks.append(F)
+        ranks.extend([k] * len(level))
+    return FlatLattice(tuple(sets), tuple(ranks), tuple(mobius))
+
+
+def reference_flat_terms(lattice: FlatLattice) -> list:
+    """flat_terms as it was before `flats` kept its rank-by-rank sums: both
+    the sums below each flat and mu(F, top) by subset tests between the
+    flats of two ranks at a time."""
+    levels = [[] for _ in range(lattice.ranks[-1] + 1)]
+    for F, rk, mu in zip(lattice.flats, lattice.ranks, lattice.mobius):
+        levels[rk].append((_mask_of(F), mu))
+    # The comprehension reads `above` before it grows by the level.
+    above = [(levels[-1][0][0], 1)]
+    for level in reversed(levels[:-1]):
+        above += [(F, -sum(nu for G, nu in above if F & G == F)) for F, _ in level]
+    up = dict(above)
+    terms = []
+    for k, level in enumerate(levels):
+        for F, mu in level:
+            below = (sum(nu for G, nu in levels[j] if G & F == G)
+                     for j in range(k - 1, -1, -1))
+            chi = UniPoly(() if lattice.bottom else (mu, *below))
+            terms.append((chi, abs(up[F])))
+    return terms
 
 
 def contract_subspace_by_kernel(L: Subspace, I) -> Subspace:
@@ -199,15 +253,10 @@ class TestClosure:
         for mask, rk in M._rank_cache.items():
             assert rk == E.rank_mask(mask)
 
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 9), r=st.integers(0, 4))
-    def test_flats_walk_caches_true_closures(self, seed, n, r):
-        M = Matroid.from_matrix(random_matrix(random.Random(seed), n, min(n, r)))
-        flats(M)
-        E = _explicit_copy(M)
-        for mask, closed in M._closure_cache.items():
-            assert closed == E.closure_mask(mask)
-        for mask, rk in M._rank_cache.items():
-            assert rk == E.rank_mask(mask)
+    def test_realized_closure_caches_one_rank(self):
+        M = Matroid.from_matrix(mat([[1, 2, 0, 1], [0, 0, 1, 1]]))
+        assert M.closure_mask(0b0001) == 0b0011
+        assert M._rank_cache == {0b0001: 1}
 
 
 def max_meet(bases: tuple[int, ...], mask: int) -> int:
@@ -267,6 +316,48 @@ def check_against_enumeration(M: Matroid) -> None:
     assert set(lat.flats) == flats_by_enumeration(M)
     assert lat.ranks == tuple(M.rank(F) for F in lat.flats)
     assert list(lat.flats) == sorted(lat.flats, key=lambda F: (M.rank(F), sorted(F)))
+
+
+class TestRankWalk:
+    """`flats` reads the covers of each flat off the rows taken modulo it, or
+    off the bitset of the bases that hold a basis of it.  The closure-driven
+    walk it replaced, and flat_terms as it was, are the references."""
+
+    @given(planted_matrices())
+    def test_matches_closure_walk(self, A):
+        M = Matroid.from_matrix(A)
+        for N in (M, _explicit_copy(M)):
+            reference = reference_flats(N)
+            lattice = flats(N)
+            assert lattice.flats == reference.flats
+            assert lattice.ranks == reference.ranks
+            assert lattice.mobius == reference.mobius
+            assert list(flat_terms(N)) == reference_flat_terms(reference)
+
+    @given(planted_matrices())
+    def test_no_rank_or_closure_query(self, A):
+        M = Matroid.from_matrix(A)
+        copies = [Matroid.from_subspace(M.subspace), _explicit_copy(M)]
+        expected = [reference_flats(N) for N in (M, _explicit_copy(M))]
+
+        def refuse(*_):
+            raise AssertionError("the walk asked a rank or closure query")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Matroid, "rank_mask", refuse)
+            patch.setattr(Matroid, "closure_mask", refuse)
+            patch.setattr(mldeg.matroids, "_modulo", refuse)
+            for N, reference in zip(copies, expected):
+                assert flats(N) == reference
+                flat_terms(N)
+                assert N._rank_cache == {} and N._closure_cache == {}
+
+    @pytest.mark.parametrize("n, bell", [(3, 5), (4, 15), (5, 52), (6, 203)])
+    def test_graphic_flats_count_set_partitions(self, n, bell):
+        # The flats of K_n are the partitions of its n vertices.
+        M = family_matroid("K", n)
+        for N in (M, _explicit_copy(M)):
+            assert len(flats(N).flats) == bell
 
 
 class TestFlats:

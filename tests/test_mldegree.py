@@ -7,7 +7,6 @@ import mldeg.matroids
 import mldeg.mldegree
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from mldeg import (
     BiPoly,
@@ -32,7 +31,7 @@ from mldeg.ratpoly import UniPoly
 
 from conftest import (
     _explicit_copy, corpus_upto, family_chi, family_matroid, family_roots,
-    k4_matroid, vamos_matroid,
+    k4_matroid, planted_matrices, vamos_matroid,
 )
 
 
@@ -151,32 +150,6 @@ def reference_score_count_dc(M: Matroid, d: int) -> int:
     return count(M)
 
 
-@st.composite
-def planted_matrices(draw):
-    """Integer matrices whose columns mix free ones with planted loops,
-    parallel copies of earlier columns and coloops, in a drawn order.  A
-    coloop is a column that alone has a nonzero entry in a row of its own."""
-    r = draw(st.integers(1, 4))
-    columns: list[list[int]] = []
-    for _ in range(draw(st.integers(1, 7))):
-        kind = draw(st.sampled_from(["free", "free", "loop", "parallel"]))
-        if kind == "loop":
-            columns.append([0] * r)
-        elif kind == "parallel" and columns:
-            source = draw(st.sampled_from(columns))
-            k = draw(st.sampled_from([1, -1, 2, -3]))
-            columns.append([k * a for a in source])
-        else:
-            columns.append(draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r)))
-    coloops = draw(st.integers(0, 2))
-    width = r + coloops
-    columns = [col + [0] * coloops for col in columns]
-    columns += [[int(i == r + k) for i in range(width)] for k in range(coloops)]
-    order = draw(st.permutations(range(len(columns))))
-    return QMatrix.from_rows([[columns[j][i] for j in order] for i in range(width)],
-                             cols=len(columns))
-
-
 def chi_expansion(M: Matroid) -> UniPoly:
     """(-d)^r chi(1/d) = (-1)^r sum_k chi_k d^(r-k), as a polynomial in d."""
     r = M.full_rank()
@@ -256,7 +229,8 @@ class TestDeletionContractionRoute:
 class TestStructuredCounts:
     """score_count_dc on K4, K5, B3, D4, W3 and W4, realized and as
     explicit-bases copies, against the closed forms of chi: prod (d a_i - 1)
-    when chi = prod (t - a_i), and (-d)^m chi(1/d) for the wheel W_m."""
+    when chi = prod (t - a_i), and (-d)^m chi(1/d) for the wheel W_m.  The
+    stratification identity holds on the same inputs."""
 
     @pytest.mark.parametrize("family, n", [("K", 4), ("K", 5), ("B", 3), ("D", 4),
                                            ("W", 3), ("W", 4)])
@@ -270,6 +244,14 @@ class TestStructuredCounts:
             else:
                 expected = prod(d * a - 1 for a in family_roots(family, n))
             assert score_count_dc(M, d) == score_count_dc(E, d) == expected
+
+    @pytest.mark.parametrize("family, n", [("K", 4), ("K", 5), ("B", 3), ("D", 4),
+                                           ("W", 3), ("W", 4)])
+    def test_stratification_holds(self, family, n):
+        M = family_matroid(family, n)
+        for N in (M, _explicit_copy(M)):
+            for d in (1, 2, 3):
+                assert verify_stratification(N, d).holds
 
 
 class TestUniformForms:
