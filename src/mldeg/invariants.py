@@ -9,35 +9,30 @@ labelled minor, so it serves as its memo key.
   tutte      batches loops into a factor y and coloops into a factor x, then
              branches on the smallest remaining element;
   char_poly  recurses on chi alone: 0 on a loop, (t - 1) chi(M/e) on a
-             coloop, chi(M\\e) - chi(M/e) otherwise.  When e has a parallel
-             partner, M/e has a loop, so chi(M) = chi(M\\e) and e is dropped
-             before the view is memoized.
+             coloop, chi(M\\e) - chi(M/e) otherwise.  cl(C + e) gives it
+             the parallel partners of e in R: with one, chi(M) = chi(M\\e),
+             and with all of R, the view has rank 1 and chi = t - 1.
 
 Besides its key, each view carries a state down the recursion, and a small
 oracle answers what the recursions ask of a view: cl(C + S) with the state
-that goes with it, the state after deleting e, which elements have a
-parallel partner in R, whether e is a coloop, and the coloops of R.
+that goes with it, the state after deleting a non-coloop e, whether e is a
+coloop, and the coloops of R.
 
   _MaskViews  the state is empty, and every answer is a rank_mask or
               closure_mask query of the input on the whole ground set.
               This is the only route for explicit input and the reference
               the tests compare the row route with.
-  _RowViews   for realized input, by a subspace L, the state is a pair of
-              integer row sets over all n columns, each row divided by its
-              content.  The primal rows are those of L taken modulo
-              span(C): r - rk(C) rows whose zero columns are exactly C.  The
-              dual rows are those of the orthogonal complement of L, which
-              realizes the dual matroid M*, taken modulo the deleted columns
-              E - (R + C).  Since (M\\e)* = M*/e, a view's minor has as its
-              dual the matroid of the dual rows on R, so the coloops of R
-              are the dual rows' zero columns in R.  Contracting e is one
-              fraction-free pivot step on the primal column e, and cl(C + e)
-              is C plus the columns that step zeroes; deleting e is the same
-              step on the dual column e.  Elements of R are parallel when
-              their primal columns are multiples of each other.  So tutte
-              and char_poly make no rank or closure query of the input, they
-              leave its mask caches empty, and the rows in flight take
-              recursion depth x n x n integers.
+  _RowViews   for realized input, by a subspace L, the state is the r -
+              rk(C) primitive integer rows of L taken modulo span(C), on n
+              columns, in reduced echelon form over one pivot column per
+              row inside R; their zero columns are C.  Deleting a non-pivot
+              keeps the rows; deleting a pivot, no coloop, moves its row's
+              pivot to another element of R by one fraction-free step;
+              contracting drops the row of a pivot, after such a step for
+              any other element.  The coloops are the pivots whose rows
+              have no other nonzero entry in R.  So tutte and char_poly make
+              no rank or closure query of the input, and the rows in flight
+              take recursion depth x r x n integers.
 
 flat_terms reads chi(M|F) and |mu(M/F)| of every flat F off the lattice of
 flats, with no view recursion, so the two sides of verify_stratification
@@ -53,8 +48,9 @@ through the view recursions.
 from __future__ import annotations
 
 from collections.abc import Callable
+from itertools import compress
 
-from .linalg import _modulo, _null_vectors, _pivot
+from .linalg import _eliminate
 from .matroids import Matroid, _mobius_sums, flats
 from .ratpoly import BiPoly, UniPoly, _frozen
 
@@ -81,91 +77,87 @@ class _MaskViews:
     def contract(self, C: int, state: None, S: int) -> tuple[int, None]:
         return self.closure(C | S), None
 
-    def delete(self, state: None, e: int) -> None:
+    def delete(self, R: int, state: None, e: int) -> None:
         return None
-
-    def drop_parallel(self, R: int, C: int, state: None) -> tuple[int, None]:
-        closure = self.closure
-        while R:
-            e = R & -R
-            if not (closure(C | e) & R) ^ e:
-                break
-            R ^= e
-        return R, None
 
     def is_coloop(self, R: int, C: int, state: None, e: int) -> bool:
         return self.rank((R ^ e) | C) < self.rank(R | C)
 
     def coloops(self, R: int, C: int, state: None) -> int:
-        full = self.rank(R | C)
-        coloops = 0
-        for j in _indices(R):
-            if self.rank((R | C) ^ (1 << j)) < full:
-                coloops |= 1 << j
-        return coloops
+        return sum(1 << j for j in _indices(R) if self.is_coloop(R, C, None, 1 << j))
 
 
-# The state of a row view: (primal rows, dual rows).
-_State = tuple[list[list[int]], list[list[int]]]
+# A row view's state: its rows and, per row, its pivot and support bitmasks.
+_State = tuple[list, list[int], list[int]]
 
 
 class _RowViews:
-    """View oracle on the integer rows of a realized M modulo span(C), and
-    the rows of its orthogonal complement modulo the deleted columns."""
+    """View oracle on the integer rows of a realized M modulo span(C), in
+    reduced echelon form over pivot columns inside R."""
 
     def __init__(self, M: Matroid):
-        self.n = M.n
-        # The primitive integer rref rows the subspace of M stores, and a
-        # basis of their orthogonal complement.
+        self.bits = [1 << j for j in range(M.n)]
+        # The primitive rref rows the subspace stores; each lead is a pivot.
         self.rows = M.subspace.rows
-        self.dual = _null_vectors(M.subspace)
+
+    def _step(self, state: _State, p: int, e: int) -> _State:
+        """The state with column e cleared outside row p by one _eliminate
+        step; the rows it leaves as they are keep their supports."""
+        rows, pivots, supports = state
+        new, bits = _eliminate(rows, p, e.bit_length() - 1), self.bits
+        return new, pivots, [s if row is old else sum(compress(bits, row))
+                             for row, old, s in zip(new, rows, supports)]
 
     def start(self) -> tuple[int, _State]:
-        return self.contract(0, (self.rows, self.dual), 0)
+        supports = [sum(compress(self.bits, row)) for row in self.rows]
+        return self.contract(0, (self.rows, [s & -s for s in supports], supports), 0)
 
     def contract(self, C: int, state: _State, S: int) -> tuple[int, _State]:
-        """cl(C + S) and the state with the primal rows modulo its span."""
-        rows, dual = state
-        rows, C = _modulo(rows, S & ~C, self.n)
-        return C, (rows, dual)
-
-    def delete(self, state: _State, e: int) -> _State:
-        """The state with the dual rows modulo their column e."""
-        rows, dual = state
-        return rows, _pivot(dual, e.bit_length() - 1)
-
-    def drop_parallel(self, R: int, C: int, state: _State) -> tuple[int, _State]:
-        # f is parallel to e when column f is a multiple of column e; the
-        # loop stops at the first e with no such f left in R.  Each dropped
-        # e is deleted, so the dual rows pivot on it.
-        rows, dual = state
-        columns = list(zip(*rows))
-        while R:
-            e = R & -R
-            ce = columns[e.bit_length() - 1]
-            p = next(i for i, a in enumerate(ce) if a)
-            a = ce[p]
-            for j in _indices(R ^ e):
-                cf = columns[j]
-                b = cf[p]
-                if b and all(x * b == y * a for x, y in zip(ce, cf)):
-                    break
+        """cl(C + S), the zero columns, and the state with the rows modulo
+        its span.  For each element of S, its column is cleared outside the
+        last row that holds it, and that row is dropped."""
+        rows, pivots, supports = state
+        S &= ~C
+        while S:
+            e = S & -S
+            S ^= e
+            if e in pivots:
+                p = pivots.index(e)
             else:
-                break
-            R ^= e
-            dual = _pivot(dual, e.bit_length() - 1)
-        return R, (rows, dual)
+                holders = [i for i, s in enumerate(supports) if s & e]
+                if not holders:
+                    continue
+                p = holders[-1]
+                if len(holders) > 1:
+                    rows, pivots, supports = self._step(
+                        (rows, pivots, supports), p, e)
+            rows, pivots, supports = list(rows), pivots.copy(), supports.copy()
+            del rows[p], pivots[p], supports[p]
+        nonzero = 0
+        for s in supports:
+            nonzero |= s
+        return ((1 << len(self.bits)) - 1) ^ nonzero, (rows, pivots, supports)
+
+    def delete(self, R: int, state: _State, e: int) -> _State:
+        """The state of the view on R after deleting e, which is not a
+        coloop: a pivot e hands its row to the last element of R in it."""
+        pivots = state[1]
+        if e not in pivots:
+            return state
+        p = pivots.index(e)
+        f = 1 << (state[2][p] & R).bit_length() - 1
+        rows, _, supports = self._step(state, p, f)
+        return rows, [*pivots[:p], f, *pivots[p + 1:]], supports
 
     def is_coloop(self, R: int, C: int, state: _State, e: int) -> bool:
-        j = e.bit_length() - 1
-        return not any(row[j] for row in state[1])
+        return e in state[1] and state[2][state[1].index(e)] & R == e
 
     def coloops(self, R: int, C: int, state: _State) -> int:
-        dual = state[1]
         coloops = 0
-        for j in _indices(R):
-            if not any(row[j] for row in dual):
-                coloops |= 1 << j
+        for s in state[2]:
+            s &= R
+            if not s & (s - 1):
+                coloops |= s
         return coloops
 
 
@@ -200,7 +192,7 @@ def tutte(M: Matroid) -> BiPoly:
         if R:
             e = R & -R
             R ^= e
-            value = (view(R, C, views.delete(state, e))
+            value = (view(R, C, views.delete(R, state, e))
                      + view(R, *views.contract(C, state, e)))
         else:
             value = _BI_ONE
@@ -265,21 +257,26 @@ class _ViewChi:
     def chi(self, R: int, C: int, state) -> UniPoly:
         if R & C:
             return UniPoly.zero()
-        views = self.views
-        R, state = views.drop_parallel(R, C, state)
         if not R:
             return UniPoly.one()
         key = (R, C)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
+        views = self.views
         e = R & -R
         rest = R ^ e
         Ce, state_e = views.contract(C, state, e)
-        if views.is_coloop(R, C, state, e):
+        if not rest & ~Ce:
+            # Every other element of R is parallel to e: a rank 1 view.
+            value = _T_MINUS_ONE
+        elif Ce & rest:
+            # e has a parallel partner in R, so M/e has a loop.
+            value = self.chi(rest, C, views.delete(rest, state, e))
+        elif views.is_coloop(R, C, state, e):
             value = _T_MINUS_ONE * self.chi(rest, Ce, state_e)
         else:
-            value = (self.chi(rest, C, views.delete(state, e))
+            value = (self.chi(rest, C, views.delete(rest, state, e))
                      - self.chi(rest, Ce, state_e))
         self.memo[key] = value
         return value

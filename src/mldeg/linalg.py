@@ -146,8 +146,7 @@ def _pivot(rows: Sequence[Sequence[int]], j: int) -> list:
     dropped.  The result spans the vectors of the row span that vanish at
     column j, so its zero columns are the columns that were multiples of
     column j.  Rows with a zero column j are returned as they are.  The
-    last row rather than the first keeps the rows sparser: char_poly of the
-    graphic K10 and the type-B B7 arrangements takes about half as long.
+    last row rather than the first keeps the rows sparser.
     """
     p = next((i for i in range(len(rows) - 1, -1, -1) if rows[i][j]), None)
     if p is None:

@@ -97,11 +97,15 @@ class Matroid:
             if subspace.ambient_n != n:
                 raise ValueError("subspace ambient dimension must equal n")
         else:
-            blist = [frozenset(int(e) for e in b) for b in bases]
+            lists = [[int(e) for e in b] for b in bases]
+            blist = [frozenset(b) for b in lists]
             if not blist:
                 raise ValueError("an explicit matroid needs at least one basis")
             size = len(blist[0])
-            for b in blist:
+            for b, elements in zip(blist, lists):
+                if len(b) < len(elements):
+                    twice = next(e for i, e in enumerate(elements) if e in elements[:i])
+                    raise ValueError(f"basis {elements} repeats element {twice}")
                 if len(b) != size:
                     raise ValueError("bases must all have the same size")
                 if any(e < 1 or e > n for e in b):

@@ -146,6 +146,17 @@ class TestScoreCountAndRmld:
         assert code == EXIT_USAGE
         assert "error: bad input" in err and out == ""
 
+    @pytest.mark.parametrize("bases, named", [
+        ([[1, 1], [2, 2]], "basis [1, 1] repeats element 1"),
+        ([[1, 2], [1, 3], [2, 2, 3]], "basis [2, 2, 3] repeats element 2"),
+    ])
+    def test_basis_repeating_an_element_is_a_usage_error(self, tmp_path, capsys,
+                                                         bases, named):
+        path = write_json(tmp_path, "m.json", {"n": 3, "bases": bases})
+        code, out, err = run(capsys, "rmld", "--input", path)
+        assert code == EXIT_USAGE and out == ""
+        assert "error: bad input" in err and named in err
+
 
 class TestVerify:
     def test_all_pass_on_u23(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -199,6 +200,17 @@ class TestConstruction:
             Matroid.from_bases(3, [[1, 2], [1]])
         with pytest.raises(ValueError):
             Matroid.from_bases(3, [[1, 4]])
+
+    @pytest.mark.parametrize("bases, named", [
+        ([[1, 1], [2, 2]], "basis [1, 1] repeats element 1"),
+        ([[1, 2], [1, 3], [2, 2, 3]], "basis [2, 2, 3] repeats element 2"),
+        ([[3, 1, 2, 1]], "basis [3, 1, 2, 1] repeats element 1"),
+    ])
+    def test_basis_repeating_an_element_is_refused(self, bases, named):
+        # A frozenset would collapse the repeat: [[1, 1], [2, 2]] would read
+        # as rank 1, and [2, 2, 3] as a third basis of U(2, 3).
+        with pytest.raises(ValueError, match=re.escape(named)):
+            Matroid.from_bases(3, bases)
 
 
 class TestRank:

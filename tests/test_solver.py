@@ -1,10 +1,11 @@
 import heapq
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 import sympy as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mldeg import (
@@ -686,6 +687,83 @@ class TestReductionBudget:
         gb, used = self.count_reductions(monkeypatch, moment_curve_system())
         assert used == 190
         assert count_torus_solutions(gb) == score_count(uniform_matroid(5, 2), 3)
+
+
+@st.composite
+def small_score_systems(draw):
+    """Score systems of small subspaces with entries in [-3, 3], which may
+    have loops, parallel columns or fewer dimensions than rows."""
+    n = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                         min_size=1, max_size=2))
+    L = subspace(rows, cols=n)
+    assume(L.dim)
+    return build_score_system(L, random_generic_s(n, draw(st.integers(0, 99))),
+                              draw(st.integers(2, 3)))
+
+
+class TestBudgetEdges:
+    """Every budget admits a solve at exactly the work it needs, with the
+    same basis, and refuses it one unit below."""
+
+    @staticmethod
+    def measured(system):
+        """The basis under the default limits, the S-polynomials it reduced
+        and the largest lead degree among its nonzero remainders (0 if none)."""
+        degrees = [0]
+        reduce = solver_module._reduce
+
+        def recording(s, lms, lcs, terms, mono, first):
+            h, rest = reduce(s, lms, lcs, terms, mono, first)
+            degrees.extend(mono.degree(m) for m in h)
+            return h, rest
+
+        with mock.patch.object(solver_module, "_int_s_poly",
+                               wraps=solver_module._int_s_poly) as s_poly, \
+                mock.patch.object(solver_module, "_reduce", recording):
+            gb = buchberger(system)
+        return gb, s_poly.call_count, max(degrees)
+
+    @settings(max_examples=20, deadline=None)
+    @given(small_score_systems())
+    def test_reduction_budget_edge(self, system):
+        gb, used, _ = self.measured(system)
+        assert buchberger(system, SolverLimits(max_reductions=used)) == gb
+        if used:
+            with pytest.raises(CapacityError, match=rf"budget {used - 1} exhausted"):
+                buchberger(system, SolverLimits(max_reductions=used - 1))
+
+    @settings(max_examples=20, deadline=None)
+    @given(small_score_systems())
+    def test_degree_cap_edge(self, system):
+        gb, _, top = self.measured(system)
+        assume(top > 0)
+        assert buchberger(system, SolverLimits(max_total_degree=top)) == gb
+        with pytest.raises(CapacityError,
+                           match=rf"intermediate degree {top} exceeds cap {top - 1} "):
+            buchberger(system, SolverLimits(max_total_degree=top - 1))
+
+    @given(caps=st.tuples(*[st.integers(1, 8)] * 3), axis=st.integers(0, 2),
+           below=st.integers(0, 3))
+    def test_caps_check_edge(self, caps, axis, below):
+        shape = [max(cap - below * (k != axis), 1) for k, cap in enumerate(caps)]
+        OracleCaps(*caps).check(*shape)
+        shape[axis] += 1
+        with pytest.raises(CapacityError, match="exceeds caps"):
+            OracleCaps(*caps).check(*shape)
+
+    @settings(max_examples=6, deadline=None)
+    @given(n=st.integers(2, 4), r=st.integers(1, 2), d=st.integers(2, 3),
+           seed=st.integers(0, 99), axis=st.integers(0, 2))
+    def test_oracle_caps_edge(self, n, r, d, seed, axis):
+        L = Subspace.from_matrix(random_uniform_matrix(n, r, seed))
+        report = oracle_score_count(L, d, seed=seed)
+        assert oracle_score_count(L, d, seed=seed, caps=OracleCaps(n, r, d)) == report
+        caps = [n, r, d]
+        caps[axis] -= 1
+        with mock.patch.object(solver_module, "buchberger", side_effect=AssertionError), \
+                pytest.raises(CapacityError, match="exceeds caps"):
+            oracle_score_count(L, d, seed=seed, caps=OracleCaps(*caps))
 
 
 class TestCounting:

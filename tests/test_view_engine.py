@@ -38,7 +38,8 @@ from mldeg import (
 )
 
 from conftest import (
-    _explicit_copy, corpus, corpus_upto, random_matrix, vamos_matroid,
+    _explicit_copy, corpus, corpus_upto, family_matroid, planted_matrices,
+    random_matrix, vamos_matroid,
 )
 from mldeg.invariants import (
     _MaskViews, _RowViews, _indices, _view_chi, flat_terms,
@@ -157,9 +158,11 @@ def mask_flat_terms(M: Matroid):
 
 
 def row_flat_terms(M: Matroid):
-    """mask_flat_terms on the row route: the view (F, cl(empty)) starts
-    from the dual rows reduced modulo the deleted columns E - F, and the
-    view (E - F, F) from the primal rows reduced modulo span(F)."""
+    """mask_flat_terms on the row route: the view of M|F is reached from the
+    start by taking the elements of E - F away one at a time, deleting each
+    one that is not a coloop of the view so far and contracting each one
+    that is (M\\e = M/e for a coloop e); the view (E - F, F) starts from the
+    rows taken modulo span(F)."""
     views = _RowViews(M)
     chi = _view_chi(views)
     ground = (1 << M.n) - 1
@@ -167,11 +170,16 @@ def row_flat_terms(M: Matroid):
 
     def terms(F):
         mask = M.mask(F)
-        state = start
+        R, C, state = ground, bottom, start
         for j in _indices(ground ^ mask):
-            state = views.delete(state, 1 << j)
+            e = 1 << j
+            R ^= e
+            if views.is_coloop(R | e, C, state, e):
+                C, state = views.contract(C, state, e)
+            else:
+                state = views.delete(R, state, e)
         top = chi(ground ^ mask, *views.contract(bottom, start, mask))
-        return chi(mask, bottom, state), abs(top.evaluate(0))
+        return chi(mask, C, state), abs(top.evaluate(0))
 
     return terms
 
@@ -213,7 +221,7 @@ def test_fraction_entries_and_row_content():
     start = state[0]
     divided = False
     for j in range(M.n):
-        C, (projected, _) = views.contract(bottom, state, 1 << j)
+        C, (projected, *_) = views.contract(bottom, state, 1 << j)
         assert C == M.closure_mask(1 << j)
         assert len(projected) == M.full_rank() - 1
         assert all(gcd(*row) == 1 for row in projected)
@@ -226,64 +234,95 @@ def test_fraction_entries_and_row_content():
 
 def test_free_matroid_pivots_once_per_element(monkeypatch):
     # Every element is a coloop, so neither recursion may take a deletion
-    # branch: n pivot steps each, not 2^n.  Contractions pivot inside
-    # linalg._modulo and deletions in mldeg.invariants; both are counted.
+    # branch: each element is contracted once, by dropping its pivot row,
+    # and no elimination step runs, let alone 2^n of them.
     n = 6
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     M = Matroid.from_matrix(QMatrix.from_rows(identity))
-    pivots = []
-    pivot = mldeg.linalg._pivot
+    contracted = []
+    contract = _RowViews.contract
 
-    def counted(rows, j):
-        pivots.append(j)
-        return pivot(rows, j)
+    def counted_contract(self, C, state, S):
+        contracted.extend(_indices(S & ~C))
+        return contract(self, C, state, S)
 
-    monkeypatch.setattr(mldeg.linalg, "_pivot", counted)
-    monkeypatch.setattr(mldeg.invariants, "_pivot", counted)
+    def refused(*args):
+        raise AssertionError("a deletion or an elimination step ran")
+
+    monkeypatch.setattr(_RowViews, "contract", counted_contract)
+    monkeypatch.setattr(_RowViews, "delete", refused)
+    monkeypatch.setattr(mldeg.invariants, "_eliminate", refused)
     assert tutte(fresh(M)) == BiPoly({(n, 0): 1})
-    assert sorted(pivots) == list(range(n))
-    pivots.clear()
+    assert sorted(contracted) == list(range(n))
+    contracted.clear()
     assert char_poly(fresh(M)) == UniPoly((-1, 1)) ** n
-    assert sorted(pivots) == list(range(n))
+    assert sorted(contracted) == list(range(n))
     monkeypatch.undo()
     check_rows_against_masks(M)
 
 
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 9), r=st.integers(0, 5))
-def test_row_coloops_match_mask_coloops_along_walks(seed, n, r):
-    # Random walks of deletions, contractions and parallel drops from the
-    # start view; every view reached must read the same coloops off its
-    # dual rows as the mask oracle finds by rank queries.
-    rng = random.Random(seed)
-    M = Matroid.from_matrix(random_matrix(rng, n, min(n, r)))
+def check_row_state(M: Matroid, R: int, C: int, state) -> None:
+    """The rows of the view (R, C) are primitive and in reduced echelon form
+    over pivot columns inside R, there are r - rk(C) of them, the supports
+    kept with them are theirs, and their zero columns are the flat C."""
+    rows, pivots, supports = state
+    assert len(rows) == len(pivots) == len(supports)
+    assert len(rows) == M.full_rank() - M.rank_mask(C)
+    nonzero = 0
+    for row, pivot, support in zip(rows, pivots, supports):
+        assert gcd(*row) == 1
+        assert support == sum(1 << j for j, a in enumerate(row) if a)
+        assert pivot & R & support and not pivot & (pivot - 1)
+        j = pivot.bit_length() - 1
+        assert [bool(other[j]) for other in rows] == [other is row for other in rows]
+        nonzero |= support
+    assert C == ((1 << M.n) - 1) ^ nonzero == M.closure_mask(C)
+
+
+@given(planted_matrices(), st.randoms(use_true_random=False))
+def test_row_coloops_match_mask_coloops_along_walks(A, rng):
+    # Random walks of deletions and contractions from the start view; a
+    # coloop is never deleted, as in the recursions.  Every view reached
+    # must hold rows of the form check_row_state pins, and read the same
+    # coloops off them as the mask oracle finds by rank queries.
+    M = Matroid.from_matrix(A)
     rows, masks = _RowViews(M), _MaskViews(M)
     for _ in range(3):
         C, state = rows.start()
         assert C == masks.start()[0]
-        R = ((1 << n) - 1) & ~C
+        R = ((1 << M.n) - 1) & ~C
         while True:
-            assert rows.coloops(R, C, state) == masks.coloops(R, C, None)
+            check_row_state(M, R, C, state)
+            coloops = rows.coloops(R, C, state)
+            assert coloops == masks.coloops(R, C, None)
             for j in _indices(R):
                 assert (rows.is_coloop(R, C, state, 1 << j)
-                        == masks.is_coloop(R, C, None, 1 << j))
+                        == masks.is_coloop(R, C, None, 1 << j)
+                        == bool(coloops >> j & 1))
             if not R:
                 break
-            move = rng.random()
-            if move < 0.2:
-                dropped, state = rows.drop_parallel(R, C, state)
-                assert dropped == masks.drop_parallel(R, C, None)[0]
-                if dropped != R:
-                    R = dropped
-                    continue
             e = 1 << rng.choice(_indices(R))
             R ^= e
-            if move < 0.6:
-                state = rows.delete(state, e)
+            if rng.random() < 0.5 and not coloops & e:
+                state = rows.delete(R, state, e)
             else:
                 Ce, state = rows.contract(C, state, e)
                 assert Ce == masks.contract(C, None, e)[0]
                 C = Ce
                 R &= ~C
+
+
+def test_row_views_build_no_dual_rows(monkeypatch):
+    def refuse(L):
+        raise AssertionError("dual rows built")
+
+    monkeypatch.setattr(mldeg.linalg, "_null_vectors", refuse)
+    realized = [M for M in corpus_upto(8) if M.is_realized]
+    realized += [family_matroid(family, n) for family, n in
+                 (("K", 5), ("B", 3), ("D", 4), ("W", 4))]
+    for M in realized:
+        assert char_poly(fresh(M)) == char_poly_flats(M)
+        assert tutte(fresh(M)) == tutte_bruteforce(M)
 
 
 def test_row_route_leaves_the_mask_caches_empty():
