@@ -210,6 +210,9 @@ def _verify_checks(M: Matroid, ds: list[int], seed: int) -> list[dict]:
         if d >= 1:
             if not M.is_realized:
                 add("solver", "skip", "no realization available", d=d)
+            elif not M.full_rank():
+                add("solver", "skip", f"subspace has dimension 0; every degree is "
+                    f"{score_count(M, d)}", d=d)
             else:
                 try:
                     # Refuse an over-cap instance before the solver loads.

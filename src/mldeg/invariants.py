@@ -7,7 +7,8 @@ ones.  Because rank_{M\\A/B}(S) = r(S + cl B) - r(cl B), the view fixes the
 labelled minor, so it serves as its memo key.
 
   tutte      batches loops into a factor y and coloops into a factor x, then
-             branches on the smallest remaining element;
+             branches on the smallest remaining element, unless the view
+             is one parallel class of rank 1;
   char_poly  recurses on chi alone: 0 on a loop, (t - 1) chi(M/e) on a
              coloop, chi(M\\e) - chi(M/e) otherwise.  cl(C + e) gives it
              the parallel partners of e in R: with one, chi(M) = chi(M\\e),
@@ -34,9 +35,9 @@ coloop, and the coloops of R.
               no rank or closure query of the input, and the rows in flight
               take recursion depth x r x n integers.
 
-flat_terms reads chi(M|F) and |mu(M/F)| of every flat F off the lattice of
-flats, with no view recursion, so the two sides of verify_stratification
-share no code.
+flat_terms reads chi(M|F) and |mu(M/F)| of every flat F off the walk up
+the lattice of flats, with no view recursion, so the two sides of
+verify_stratification share no code.
 
 Each memo table lives for one top-level call; only the final chi is kept,
 on the Matroid instance.  The corank-nullity expansion over all subsets is
@@ -51,7 +52,7 @@ from collections.abc import Callable
 from itertools import compress
 
 from .linalg import _eliminate
-from .matroids import Matroid, _mobius_sums, flats
+from .matroids import Matroid, _flat_walk
 from .ratpoly import BiPoly, UniPoly, _frozen
 
 
@@ -172,7 +173,8 @@ def tutte(M: Matroid) -> BiPoly:
     """Tutte polynomial by deletion-contraction.
 
     Loops contribute a factor y, coloops a factor x, and otherwise
-    T = T(delete e) + T(contract e) on the smallest remaining element.
+    T = T(delete e) + T(contract e) on the smallest remaining element; a
+    view of one parallel class of m elements is x + y + ... + y^(m-1).
     The factors of a view are applied as one shift of the exponents.
     """
     views = _views(M)
@@ -192,8 +194,12 @@ def tutte(M: Matroid) -> BiPoly:
         if R:
             e = R & -R
             R ^= e
-            value = (view(R, C, views.delete(R, state, e))
-                     + view(R, *views.contract(C, state, e)))
+            Ce, state_e = views.contract(C, state, e)
+            if R & ~Ce:
+                value = view(R, C, views.delete(R, state, e)) + view(R, Ce, state_e)
+            else:
+                # R + e is one parallel class of rank 1: x + y + ... + y^|R|.
+                value = BiPoly({(1, 0): 1, **{(0, j): 1 for j in range(1, R.bit_count() + 1)}})
         else:
             value = _BI_ONE
         if coloops or loops:
@@ -303,27 +309,22 @@ def _char_poly_from_tutte(T: BiPoly, r: int) -> UniPoly:
 
 
 def flat_terms(M: Matroid) -> tuple[tuple[UniPoly, int], ...]:
-    """chi(M|F) and |mu(M/F)| for every flat F of M, in lattice order; kept
-    on M.
+    """chi(M|F) and |mu(M/F)| for every flat F of M, in lattice order; built
+    on the first call and kept on M.
 
-    [bottom, F] is the lattice of M|F and [F, top] that of M/F.  So chi(M|F)
-    has the coefficients that `flats` summed rank by rank below F (zero
-    when M has loops), and |mu(M/F)| = |mu(F, top)|: the same sums run once
-    more, from the top down, on the complements of the flats.  Flats with
-    equal terms share one pair.
+    [bottom, F] is the lattice of M|F and [F, top] that of M/F, and the walk
+    behind `flats` summed both: chi(M|F) has the coefficients it summed
+    rank by rank below F (zero when M has loops), and |mu(M/F)| is what its
+    pass from the top down, over the complements, gave F.  Flats with equal
+    terms share one pair.
     """
-    if M._flat_terms is not None:
-        return M._flat_terms
-    lattice = flats(M)
-    sums, top, r = M._flat_sums, (1 << M.n) - 1, lattice.ranks[-1]
-    up = _mobius_sums([top ^ F for F, _ in reversed(sums)],
-                      [r - k for k in reversed(lattice.ranks)], M.n)
-    keys = [(() if lattice.bottom else chi, abs(nu[0]))
-            for (_, chi), nu in zip(sums, reversed(up))]
-    pairs = {key: (UniPoly(key[0]), key[1]) for key in set(keys)}
-    M._flat_terms = tuple(pairs[key] for key in keys)
-    M._flat_sums = None
-    return M._flat_terms
+    walk = _flat_walk(M)
+    if walk.terms is None:
+        loopless = not walk.masks[0]
+        keys = [(chi if loopless else (), mu) for chi, mu in zip(walk.chis, walk.mus)]
+        pairs = {key: (UniPoly(key[0]), key[1]) for key in set(keys)}
+        walk.terms = tuple(pairs[key] for key in keys)
+    return walk.terms
 
 
 def char_poly_flats(M: Matroid) -> UniPoly:
@@ -334,12 +335,8 @@ def char_poly_flats(M: Matroid) -> UniPoly:
     """
     if M.loops():
         return UniPoly.zero()
-    lattice = flats(M)
-    r = M.full_rank()
-    coeffs = [0] * (r + 1)
-    for rk, mu in zip(lattice.ranks, lattice.mobius):
-        coeffs[r - rk] += mu
-    return UniPoly(coeffs)
+    # The walk's sums at the top flat: mu(empty, G) over the flats G of each rank.
+    return UniPoly(_flat_walk(M).chis[-1])
 
 
 def mobius_invariant(M: Matroid) -> int:

@@ -19,7 +19,8 @@ Minor operations relabel the surviving ground set by order-preserving
 compression and return the relabeling alongside: element k of the minor sat
 at ambient index labels[k-1].  An explicit minor filters the basis list.
 The flats are found by one walk up the ranks that asks no rank or closure
-query, and the lattice keeps only the Moebius values mu(bottom, F).
+query and keeps them as bitmasks; the lattice, sorted frozensets with only
+the Moebius values mu(bottom, F), is built from it on first read.
 """
 
 from __future__ import annotations
@@ -62,12 +63,10 @@ class Matroid:
         "_holders",
         "_rank_cache",
         "_closure_cache",
-        "_lattice",
+        "_flats",
         "_components",
         "_charpoly",
         "_dc_poly",
-        "_flat_terms",
-        "_flat_sums",
     )
 
     def __init__(self, n: int, subspace: Subspace | None = None,
@@ -83,16 +82,13 @@ class Matroid:
         self._holders = None
         self._rank_cache: dict[int, int] = {}
         self._closure_cache: dict[int, int] = {}
-        self._lattice = None
+        # The walk up the lattice of flats, set by _flat_walk.
+        self._flats = None
         self._components = None
         # Characteristic polynomial, set by mldeg.invariants.char_poly.
         self._charpoly = None
         # Deletion-contraction count in d, set by mldeg.mldegree._dc_poly.
         self._dc_poly = None
-        # (chi(M|F), |mu(M/F)|) per flat, set by mldeg.invariants.flat_terms.
-        self._flat_terms = None
-        # (F, coefficients of chi(M|F)) per flat, from flats to flat_terms.
-        self._flat_sums = None
         if subspace is not None:
             if subspace.ambient_n != n:
                 raise ValueError("subspace ambient dimension must equal n")
@@ -354,7 +350,7 @@ class FlatLattice:
     Flats are sorted by (rank, sorted elements); flat 0 is the bottom
     (closure of the empty set), the last flat is the full ground set.
     mobius[j] = mu(F_0, F_j), the only row of the Moebius function kept;
-    flat_terms derives mu(F, top) from the flats when it runs.
+    the walk behind it also keeps |mu(F, top)| for flat_terms.
     """
 
     flats: tuple[frozenset, ...]
@@ -372,39 +368,59 @@ class FlatLattice:
         }
 
 
+class _FlatWalk:
+    """The flats of M as bitmasks in lattice order (see `flats`), each with
+    its sums from `_mobius_sums` (`chis`) and |mu(M/F)| (`mus`); also keeps
+    what is built from them on first read."""
+
+    __slots__ = ("masks", "ranks", "chis", "mus", "lattice", "terms", "strata")
+
+    def __init__(self, M: Matroid):
+        n, r = M.n, M.full_rank()
+        covers = _row_covers if M.is_realized else _basis_covers
+        states = {_mask_of(M.loops()): M.subspace.rows if M.is_realized else M._greedy(0)[1]}
+        masks, ranks = list(states), [0]
+        for k in range(1, r):
+            found: dict = {}
+            for F, state in states.items():
+                covers(M, F, state, found, k < r - 1)
+            states = found
+            masks += found
+            ranks += [k] * len(found)
+        if r:
+            masks, ranks = masks + [(1 << n) - 1], ranks + [r]
+        # F -> top - F turns [F, top], the lattice of M/F, upside down.
+        up = _mobius_sums([masks[-1] ^ F for F in reversed(masks)], n)
+        self.masks, self.ranks, self.chis = masks, ranks, _mobius_sums(masks, n, ranks)
+        self.mus = [abs(mu) for mu in reversed(up)]
+        self.lattice = self.terms = self.strata = None
+
+
+def _flat_walk(M: Matroid) -> _FlatWalk:
+    """The walk up the flats of M, made on the first call and kept on M."""
+    if M._flats is None:
+        M._flats = _FlatWalk(M)
+    return M._flats
+
+
 def flats(M: Matroid) -> FlatLattice:
-    """The lattice of flats with the Moebius values mu(bottom, F).
+    """The lattice of flats with the Moebius values mu(bottom, F), built on
+    the first call and kept on M.
 
     The bottom flat is the closure of the empty set (the set of loops), so
     the empty set is a flat exactly when the matroid is loopless.  The walk
-    up the ranks reads the covers of each flat off its state, and the top
-    rank is the ground set alone.  The sums behind mu(bottom, F) are the
-    coefficients of chi(M|F), kept for `flat_terms`.
+    up the ranks (`_flat_walk`) reads the covers of each flat off its state,
+    and the top rank is the ground set alone.  It finds the flats of a rank
+    already sorted by their elements: the covers of one flat come in the
+    order of their smallest new element, and a flat is first found from its
+    first hyperplane in that order, the closure of all but the last element
+    of its greedy basis, which is earlier for the earlier of two flats.
     """
-    if M._lattice is not None:
-        return M._lattice
-    n, r = M.n, M.full_rank()
-    covers = _row_covers if M.is_realized else _basis_covers
-    states = {_mask_of(M.loops()): M.subspace.rows if M.is_realized else M._greedy(0)[1]}
-    levels = [list(states)]
-    for k in range(1, r):
-        found: dict = {}
-        for F, state in states.items():
-            covers(M, F, state, found, k < r - 1)
-        states = found
-        levels.append(list(found))
-    if r:
-        levels.append([(1 << n) - 1])
-    masks, sets, ranks = [], [], []
-    for k, level in enumerate(levels):
-        for indices, F in sorted(([x for x in range(n) if F >> x & 1], F) for F in level):
-            masks.append(F)
-            sets.append(frozenset(x + 1 for x in indices))
-            ranks.append(k)
-    sums = _mobius_sums(masks, ranks, n)
-    M._lattice = FlatLattice(tuple(sets), tuple(ranks), tuple(s[0] for s in sums))
-    M._flat_sums = tuple(zip(masks, sums))
-    return M._lattice
+    walk = _flat_walk(M)
+    if walk.lattice is None:
+        walk.lattice = FlatLattice(tuple(map(_elements_of, walk.masks)), tuple(walk.ranks),
+                                   tuple(sums[0] for sums in walk.chis))
+    return walk.lattice
 
 
 def _row_covers(M: Matroid, F: int, rows, found: dict, walked: bool) -> None:
@@ -436,30 +452,37 @@ def _basis_covers(M: Matroid, F: int, live: int, found: dict, walked: bool) -> N
         rest &= ~G
 
 
-def _mobius_sums(masks: Sequence[int], ranks: Sequence[int], n: int) -> list[tuple]:
-    """(mu(F_0, F), s_{k-1}(F), ..., s_0(F)) for each F of rank k in `masks`,
-    subsets of 0..n-1 ranked under inclusion and listed by rank from F_0:
+def _mobius_sums(masks: Sequence[int], n: int,
+                 ranks: Sequence[int] | None = None) -> list:
+    """mu(F_0, F) for each F in `masks`, subsets of 0..n-1 ranked under
+    inclusion and listed by rank from F_0.  Given their `ranks`, it is
+    (mu(F_0, F), s_{k-1}(F), ..., s_0(F)) for each F of rank k instead:
     s_j(F) sums mu(F_0, G) over the G of rank j in F, and mu(F_0, F) is
     minus the sum of the s_j(F)."""
-    # Bit i of lacking[x] is set when mask i lacks x; groups maps each rank
-    # j and value mu to the bitset of the masks of rank j that have it.
-    lacking = [0] * n
+    # Bit i of lacking[x] is set when mask i lacks the element bit x; groups
+    # maps each rank j (0 for all without ranks) and value mu to the bitset
+    # of the masks that have them.
+    lacking: dict[int, int] = {}
     groups: dict[tuple[int, int], int] = {}
     out = []
-    for i, (F, k) in enumerate(zip(masks, ranks)):
+    full = (1 << n) - 1
+    for i, F in enumerate(masks):
         bit = 1 << i
-        inside = bit - 1
-        for x in range(n):
-            if not F >> x & 1:
-                inside &= lacking[x]
-                lacking[x] |= bit
+        inside, rest = bit - 1, full ^ F
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            inside &= lacking.get(x, 0)
+            lacking[x] = lacking.get(x, 0) | bit
+        k = ranks[i] if ranks else 1
         below = [0] * k
-        for (j, mu), group in groups.items():
+        for (j, nu), group in groups.items():
             if j < k:
-                below[j] += mu * (inside & group).bit_count()
-        mu = -sum(below) if k else 1
-        groups[k, mu] = groups.get((k, mu), 0) | bit
-        out.append((mu, *reversed(below)))
+                below[j] += nu * (inside & group).bit_count()
+        mu = -sum(below) if i else 1
+        key = (k, mu) if ranks else (0, mu)
+        groups[key] = groups.get(key, 0) | bit
+        out.append((mu, *reversed(below)) if ranks else mu)
     return out
 
 

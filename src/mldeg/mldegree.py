@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from collections.abc import Sequence
 from operator import add, sub
 
 from .invariants import char_poly, flat_terms, mobius_invariant
 from .linalg import Subspace, _eliminate, _lead, _primitive
-from .matroids import Matroid, flats, is_partition_matroid
+from .matroids import Matroid, _flat_walk, flats, is_partition_matroid
 from .ratpoly import BiPoly, UniPoly, _frozen
 
 
@@ -256,6 +257,23 @@ class StratificationReport:
     per_flat: tuple[FlatContribution, ...]
     holds: bool
 
+    def __getattr__(self, name):
+        # verify_stratification leaves per_flat unset and keeps the matroid;
+        # the contributions are built from its lattice on first read.
+        if name != "per_flat" or "_matroid" not in self.__dict__:
+            raise AttributeError(f"'StratificationReport' object has no attribute {name!r}")
+        M, d = self._matroid, self.d
+        lattice = flats(M)
+        value = tuple(FlatContribution(tuple(sorted(F)), _count_from_chi(chi, rk, d), mu)
+                      for F, rk, (chi, mu) in zip(lattice.flats, lattice.ranks,
+                                                  flat_terms(M)))
+        object.__setattr__(self, "per_flat", value)
+        return value
+
+    def __reduce__(self):
+        # A copy or pickle carries the fields, not the matroid.
+        return StratificationReport, (self.d, self.lhs, self.rhs, self.per_flat, self.holds)
+
     def to_json_dict(self) -> dict:
         return {
             "d": self.d,
@@ -272,10 +290,12 @@ def verify_stratification(L: Matroid | Subspace, d: int) -> StratificationReport
         sum over flats F of D(M|F, d) * |mu(M/F)|
 
     computed entirely by the combinatorial formulas: mu(M) from chi, the
-    right-hand side from the lattice of flats (`flat_terms`).  For d = 0 the
-    score equations are linear and every solution has full support, so the
-    identity degenerates to |mu(M)| = D(M, 0) with the full ground set as
-    the only stratum.
+    right-hand side from the walk up the lattice of flats, as a sum over
+    the distinct triples (chi(M|F), rk F, |mu(M/F)|), counted once per
+    matroid for every d.  `per_flat` is built when it is read.  For d = 0
+    the score equations are linear and every solution has full support, so
+    the identity degenerates to |mu(M)| = D(M, 0) with the full ground set
+    as the only stratum.
     """
     M = _as_matroid(L)
     if d < 0:
@@ -287,23 +307,15 @@ def verify_stratification(L: Matroid | Subspace, d: int) -> StratificationReport
         top = score_count(M, 0)
         return StratificationReport(0, mu_abs, top, (FlatContribution(M.ground, top, 1),),
                                     mu_abs == top)
-    r = M.full_rank()
-    lhs = d ** r * mu_abs
-    lattice = flats(M)
-    # The pairs (chi(M|F), |mu(M/F)|) do not depend on d: kept on M, they
-    # serve every exponent checked, each distinct pair stored once and
-    # counted once here, keyed by identity.
-    terms = M._flat_terms if M._flat_terms is not None else flat_terms(M)
-    counts = {}
-    for pair, rk in zip(terms, lattice.ranks):
-        if id(pair) not in counts:
-            counts[id(pair)] = _count_from_chi(pair[0], rk, d)
-    contributions = tuple(
-        FlatContribution(tuple(sorted(F)), counts[id(pair)], pair[1])
-        for F, pair in zip(lattice.flats, terms)
-    )
-    rhs = sum(counts[id(pair)] * pair[1] for pair in terms)
-    return StratificationReport(d, lhs, rhs, contributions, lhs == rhs)
+    lhs = d ** M.full_rank() * mu_abs
+    walk = _flat_walk(M)
+    if walk.strata is None:
+        strata = Counter(zip(walk.chis, walk.ranks, walk.mus))
+        walk.strata = [(UniPoly(chi), rk, mu * k) for (chi, rk, mu), k in strata.items()]
+    rhs = sum(_count_from_chi(chi, rk, d) * weight for chi, rk, weight in walk.strata)
+    report = object.__new__(StratificationReport)
+    report.__dict__.update(d=d, lhs=lhs, rhs=rhs, holds=lhs == rhs, _matroid=M)
+    return report
 
 
 @_frozen

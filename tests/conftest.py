@@ -17,7 +17,8 @@ from itertools import combinations
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from mldeg import Matroid, QMatrix, UniPoly, uniform_matroid
+from mldeg import FlatLattice, Matroid, QMatrix, UniPoly, uniform_matroid
+from mldeg.matroids import _elements_of, _mask_of
 
 settings.register_profile(
     "suite",
@@ -242,3 +243,58 @@ def corpus_upto(max_n: int, loopless: bool | None = None) -> list[Matroid]:
             continue
         out.append(M)
     return out
+
+
+# -- references for the lattice of flats ---------------------------------------
+
+
+def reference_flats(M: Matroid) -> FlatLattice:
+    """The closure-driven walk that `flats` replaced.  The flats of rank
+    k + 1 are the closures of F + e over the flats F of rank k and e outside
+    F, and mu(bottom, F) is minus the sum of mu(bottom, G) over all the
+    flats G below F."""
+    closure = M.closure_mask
+    ground = (1 << M.n) - 1
+    levels = [[closure(0)]]
+    while True:
+        found = set()
+        for F in levels[-1]:
+            rest = ground & ~F
+            while rest:
+                G = closure(F | (rest & -rest))
+                found.add(G)
+                rest &= ~G
+        if not found:
+            break
+        levels.append(found)
+    sets, masks, ranks, mobius = [], [], [], []
+    for k, level in enumerate(levels):
+        lower = list(zip(masks, mobius))
+        for F in sorted(level, key=lambda G: sorted(_elements_of(G))):
+            mobius.append(-sum(mu for G, mu in lower if G & F == G) if k else 1)
+            sets.append(_elements_of(F))
+            masks.append(F)
+        ranks.extend([k] * len(level))
+    return FlatLattice(tuple(sets), tuple(ranks), tuple(mobius))
+
+
+def reference_flat_terms(lattice: FlatLattice) -> list:
+    """flat_terms as it was before `flats` kept its rank-by-rank sums: both
+    the sums below each flat and mu(F, top) by subset tests between the
+    flats of two ranks at a time."""
+    levels = [[] for _ in range(lattice.ranks[-1] + 1)]
+    for F, rk, mu in zip(lattice.flats, lattice.ranks, lattice.mobius):
+        levels[rk].append((_mask_of(F), mu))
+    # The comprehension reads `above` before it grows by the level.
+    above = [(levels[-1][0][0], 1)]
+    for level in reversed(levels[:-1]):
+        above += [(F, -sum(nu for G, nu in above if F & G == F)) for F, _ in level]
+    up = dict(above)
+    terms = []
+    for k, level in enumerate(levels):
+        for F, mu in level:
+            below = (sum(nu for G, nu in levels[j] if G & F == G)
+                     for j in range(k - 1, -1, -1))
+            chi = UniPoly(() if lattice.bottom else (mu, *below))
+            terms.append((chi, abs(up[F])))
+    return terms

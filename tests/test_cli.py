@@ -190,6 +190,19 @@ class TestVerify:
         assert solver and all(c["status"] == "skip" for c in solver)
         assert "realization" in solver[0]["detail"]
 
+    def test_rank_zero_realization_skips_solver(self, tmp_path, capsys):
+        # The score system needs a subspace of dimension at least 1.
+        path = write_json(tmp_path, "m.json",
+                          {"rows": 1, "cols": 2, "entries": [["0", "0"]]})
+        code, out, _ = run(capsys, "verify", "--input", path)
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert data["rank"] == 0 and data["all_passed"] is True
+        solver = [c for c in data["checks"] if c["name"] == "solver"]
+        assert [c["d"] for c in solver] == [1, 2, 3]
+        assert all(c["status"] == "skip" for c in solver)
+        assert solver[0]["detail"] == "subspace has dimension 0; every degree is 0"
+
     def test_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         import mldeg.cli as cli_module
         monkeypatch.setattr(cli_module, "rmld", lambda M: 4)  # even and wrong

@@ -2,6 +2,7 @@ import gc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 import mldeg.invariants
 
@@ -25,7 +26,9 @@ from mldeg import (
 
 from mldeg.invariants import flat_terms
 
-from conftest import corpus_upto, family_chi, family_matroid, k4_matroid
+from conftest import (
+    _explicit_copy, corpus_upto, family_chi, family_matroid, k4_matroid, planted_matrices,
+)
 
 
 def mat(rows, cols=None):
@@ -77,6 +80,24 @@ class TestTutte:
                 left, _ = delete(M, e)
                 right, _ = contract(M, e)
                 assert tutte(M) == tutte(left) + tutte(right)
+
+    @given(planted_matrices())
+    def test_parallel_classes_match_bruteforce(self, A):
+        # Planted parallel copies leave views that are one parallel class.
+        M = Matroid.from_matrix(A)
+        for N in (M, _explicit_copy(M)):
+            assert tutte(N) == tutte_bruteforce(N)
+
+    @pytest.mark.parametrize("m", [2, 3, 6])
+    def test_rank_one_view_read_off_at_once(self, m, monkeypatch):
+        # U(1, m) is one parallel class: T = x + y + ... + y^(m-1), with no
+        # deletion and one contraction.
+        def refuse(*_):
+            raise AssertionError("a rank-1 view was expanded")
+
+        monkeypatch.setattr(mldeg.invariants._RowViews, "delete", refuse)
+        expected = BiPoly({(1, 0): 1, **{(0, j): 1 for j in range(1, m)}})
+        assert tutte(Matroid.from_matrix(mat([list(range(1, m + 1))]))) == expected
 
     def test_base_count_specialization(self):
         for M in corpus_upto(7)[:40]:

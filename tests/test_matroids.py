@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 import mldeg.matroids
 from mldeg import (
-    FlatLattice,
     Matroid,
     QMatrix,
     Subspace,
@@ -30,10 +29,10 @@ from mldeg import (
     uniform_matroid,
 )
 from mldeg.invariants import flat_terms
-from mldeg.matroids import _elements_of, _mask_of, check_bases
+from mldeg.matroids import _flat_walk, _mobius_sums, check_bases
 from conftest import (
     _explicit_copy, any_matrices, corpus, corpus_upto, family_matroid, k4_matroid,
-    mixed_copy, planted_matrices, random_matrix,
+    mixed_copy, planted_matrices, random_matrix, reference_flat_terms, reference_flats,
 )
 
 
@@ -90,58 +89,6 @@ def mobius_all_pairs(lattice) -> dict:
                     mobius[(i, k)] for k in range(i, j) if leq[i][k] and leq[k][j]
                 )
     return mobius
-
-
-def reference_flats(M: Matroid) -> FlatLattice:
-    """The closure-driven walk that `flats` replaced.  The flats of rank
-    k + 1 are the closures of F + e over the flats F of rank k and e outside
-    F, and mu(bottom, F) is minus the sum of mu(bottom, G) over all the
-    flats G below F."""
-    closure = M.closure_mask
-    ground = (1 << M.n) - 1
-    levels = [[closure(0)]]
-    while True:
-        found = set()
-        for F in levels[-1]:
-            rest = ground & ~F
-            while rest:
-                G = closure(F | (rest & -rest))
-                found.add(G)
-                rest &= ~G
-        if not found:
-            break
-        levels.append(found)
-    sets, masks, ranks, mobius = [], [], [], []
-    for k, level in enumerate(levels):
-        lower = list(zip(masks, mobius))
-        for F in sorted(level, key=lambda G: sorted(_elements_of(G))):
-            mobius.append(-sum(mu for G, mu in lower if G & F == G) if k else 1)
-            sets.append(_elements_of(F))
-            masks.append(F)
-        ranks.extend([k] * len(level))
-    return FlatLattice(tuple(sets), tuple(ranks), tuple(mobius))
-
-
-def reference_flat_terms(lattice: FlatLattice) -> list:
-    """flat_terms as it was before `flats` kept its rank-by-rank sums: both
-    the sums below each flat and mu(F, top) by subset tests between the
-    flats of two ranks at a time."""
-    levels = [[] for _ in range(lattice.ranks[-1] + 1)]
-    for F, rk, mu in zip(lattice.flats, lattice.ranks, lattice.mobius):
-        levels[rk].append((_mask_of(F), mu))
-    # The comprehension reads `above` before it grows by the level.
-    above = [(levels[-1][0][0], 1)]
-    for level in reversed(levels[:-1]):
-        above += [(F, -sum(nu for G, nu in above if F & G == F)) for F, _ in level]
-    up = dict(above)
-    terms = []
-    for k, level in enumerate(levels):
-        for F, mu in level:
-            below = (sum(nu for G, nu in levels[j] if G & F == G)
-                     for j in range(k - 1, -1, -1))
-            chi = UniPoly(() if lattice.bottom else (mu, *below))
-            terms.append((chi, abs(up[F])))
-    return terms
 
 
 def contract_subspace_by_kernel(L: Subspace, I) -> Subspace:
@@ -363,6 +310,21 @@ class TestRankWalk:
                 assert flats(N) == reference
                 flat_terms(N)
                 assert N._rank_cache == {} and N._closure_cache == {}
+
+    @given(planted_matrices())
+    def test_mu_pass_is_the_mu_column(self, A):
+        # Without ranks, _mobius_sums gives mu alone: the first entry of
+        # what it gives with them, on the walk's flats and their complements.
+        M = Matroid.from_matrix(A)
+        for N in (M, _explicit_copy(M)):
+            walk, top = _flat_walk(N), (1 << N.n) - 1
+            r = walk.ranks[-1]
+            up = [top ^ F for F in reversed(walk.masks)]
+            up_ranks = [r - k for k in reversed(walk.ranks)]
+            for masks, ranks in ((walk.masks, walk.ranks), (up, up_ranks)):
+                full = _mobius_sums(masks, N.n, ranks)
+                assert _mobius_sums(masks, N.n) == [sums[0] for sums in full]
+            assert walk.mus == [abs(mu) for mu in reversed(_mobius_sums(up, N.n))]
 
     @pytest.mark.parametrize("n, bell", [(3, 5), (4, 15), (5, 52), (6, 203)])
     def test_graphic_flats_count_set_partitions(self, n, bell):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import prod
 
@@ -15,8 +17,10 @@ from mldeg import (
     Subspace,
     char_poly,
     classify_rmld_one,
+    flats,
     ml_degree_report,
     mld,
+    mobius_invariant,
     rmld,
     score_count,
     score_count_dc,
@@ -25,13 +29,16 @@ from mldeg import (
     uniform_tutte,
     verify_stratification,
 )
+from mldeg.invariants import flat_terms
 from mldeg.matroids import contract_set, restrict
-from mldeg.mldegree import _dc_poly
+from mldeg.mldegree import (
+    FlatContribution, StratificationReport, _count_from_chi, _dc_poly,
+)
 from mldeg.ratpoly import UniPoly
 
 from conftest import (
     _explicit_copy, corpus_upto, family_chi, family_matroid, family_roots,
-    k4_matroid, planted_matrices, vamos_matroid,
+    k4_matroid, planted_matrices, reference_flat_terms, reference_flats, vamos_matroid,
 )
 
 
@@ -295,6 +302,27 @@ class TestUniformForms:
                 uniform_rmld(n, r)
 
 
+def reference_stratification(M: Matroid, d: int) -> StratificationReport:
+    """verify_stratification as it was before the walk kept its sums: the
+    rhs summed over one FlatContribution per flat, here of the closure-driven
+    lattice and its flat terms."""
+    if M.loops():
+        raise ValueError("stratification identity needs a loopless matroid")
+    mu_abs = abs(mobius_invariant(M))
+    if d == 0:
+        top = score_count(M, 0)
+        return StratificationReport(0, mu_abs, top, (FlatContribution(M.ground, top, 1),),
+                                    mu_abs == top)
+    lhs = d ** M.full_rank() * mu_abs
+    lattice = reference_flats(M)
+    contributions = tuple(
+        FlatContribution(tuple(sorted(F)), _count_from_chi(chi, rk, d), mu)
+        for F, rk, (chi, mu) in zip(lattice.flats, lattice.ranks,
+                                    reference_flat_terms(lattice)))
+    rhs = sum(c.count * c.mu_contract for c in contributions)
+    return StratificationReport(d, lhs, rhs, contributions, lhs == rhs)
+
+
 class TestStratification:
     def test_u23_d2_per_flat(self):
         report = verify_stratification(uniform_matroid(3, 2), 2)
@@ -327,20 +355,71 @@ class TestStratification:
 
     def test_per_flat_terms_computed_once(self, monkeypatch):
         # chi(M|F) and |mu(M/F)| do not depend on d, so checking several
-        # exponents reads them off the lattice once.
-        calls = []
-        terms = mldeg.mldegree.flat_terms
+        # exponents, and reading their per_flat, walks the lattice once.
+        walks = []
 
-        def counted(M):
-            calls.append(M)
-            return terms(M)
+        class Counted(mldeg.matroids._FlatWalk):
+            __slots__ = ()
 
-        monkeypatch.setattr(mldeg.mldegree, "flat_terms", counted)
+            def __init__(self, M):
+                walks.append(M)
+                super().__init__(M)
+
+        monkeypatch.setattr(mldeg.matroids, "_FlatWalk", Counted)
         M = k4_matroid()
         N = Matroid.from_subspace(M.subspace)
         reports = [verify_stratification(N, d) for d in (1, 2, 3, 2)]
-        assert len(calls) == 1 and all(r.holds for r in reports)
+        assert all(r.holds and r.per_flat for r in reports)
+        assert walks == [N]
         assert reports[1] == reports[3] == verify_stratification(M, 2)
+
+    @given(planted_matrices())
+    def test_matches_reference(self, A):
+        M = Matroid.from_matrix(A)
+        for N in (M, _explicit_copy(M)):
+            for d in range(5):
+                if N.loops():
+                    with pytest.raises(ValueError):
+                        verify_stratification(N, d)
+                    continue
+                report, expected = verify_stratification(N, d), reference_stratification(N, d)
+                assert (report.lhs, report.rhs, report.holds) == (
+                    expected.lhs, expected.rhs, expected.holds)
+                assert report.per_flat == expected.per_flat
+                assert report.to_json_dict() == expected.to_json_dict()
+                assert report == expected and hash(report) == hash(expected)
+                assert repr(report) == repr(expected)
+            lattice = reference_flats(N)
+            assert flats(N) == lattice
+            assert list(flat_terms(N)) == reference_flat_terms(lattice)
+
+    def test_copies_and_pickles_carry_the_fields(self):
+        M = Matroid.from_subspace(k4_matroid().subspace)
+        report, expected = verify_stratification(M, 2), reference_stratification(M, 2)
+        fields = set(StratificationReport.__annotations__)
+        for copied in (copy.copy(report), copy.deepcopy(report),
+                       pickle.loads(pickle.dumps(report))):
+            assert copied == expected and vars(copied).keys() == fields
+
+    def test_sweep_call_builds_no_per_flat_objects(self, monkeypatch):
+        # What a caller reads of the report (lhs, rhs, holds) needs neither
+        # the sorted lattice nor one FlatContribution per flat.
+        inputs = corpus_upto(7, loopless=True)[:40] + [
+            family_matroid(family, n) for family, n in (("K", 5), ("B", 3), ("W", 4))]
+        copies = [Matroid.from_subspace(M.subspace) if M.is_realized else _explicit_copy(M)
+                  for M in inputs]
+        expected = [reference_stratification(M, 2) for M in inputs]
+
+        def refuse(*_):
+            raise AssertionError("a per-flat object was built")
+
+        monkeypatch.setattr(mldeg.mldegree, "FlatContribution", refuse)
+        monkeypatch.setattr(mldeg.matroids, "FlatLattice", refuse)
+        for N, reference in zip(copies, expected):
+            report = verify_stratification(N, 2)
+            assert (report.lhs, report.rhs, report.holds) == (
+                reference.lhs, reference.rhs, True)
+            assert "per_flat" not in vars(report)
 
     def test_accepts_subspace_input(self):
         L = Subspace.from_matrix(mat([[1, 0, 1], [0, 1, 1]]))
