@@ -1,216 +1,254 @@
 """Tutte polynomial, characteristic polynomial, and friends.
 
-Production routes run deletion-contraction on views of the input matroid
-rather than on minors built one by one.  A view is a pair (R, C) of
-bitmasks: R the remaining elements, C the flat spanned by the contracted
-ones.  Because rank_{M\\A/B}(S) = r(S + cl B) - r(cl B), the view fixes the
-labelled minor, so it serves as its memo key.
+Both polynomials, and the deletion-contraction count D(M, d) behind
+mldeg.mldegree.score_count_dc, run on one positional minor step.  A
+positional minor is the data of a minor with its elements renumbered 1..m
+in order: the primitive integer rref rows of a realized minor (a tuple of
+int tuples over m columns), or the basis bitmasks of an explicit one (a
+frozenset, element k at bit k - 1).  It is its own memo key, so different
+branches that reach the same minor share one entry, as in Haggard, Pearce
+and Royle, "Computing Tutte polynomials" (ACM TOMS 37, 2010).  Each step
+removes element 1:
 
-  tutte      batches loops into a factor y and coloops into a factor x, then
-             branches on the smallest remaining element, unless the view
-             is one parallel class of rank 1;
-  char_poly  recurses on chi alone: 0 on a loop, (t - 1) chi(M/e) on a
-             coloop, chi(M\\e) - chi(M/e) otherwise.  cl(C + e) gives it
-             the parallel partners of e in R: with one, chi(M) = chi(M\\e),
-             and with all of R, the view has rank 1 and chi = t - 1.
+  _rows_minors   M\\1 drops column 0 of every row and, unless the first row
+                 is then zero (1 is a coloop), takes one fraction-free pivot
+                 step on that row; M/1 is the other rows without column 0;
+  _masks_minors  M\\1 is the masks without bit 0 and M/1 the masks with
+                 it, both shifted right.
 
-Besides its key, each view carries a state down the recursion, and a small
-oracle answers what the recursions ask of a view: cl(C + S) with the state
-that goes with it, the state after deleting a non-coloop e, whether e is a
-coloop, and the coloops of R.
+The recursions on that step:
 
-  _MaskViews  the state is empty, and every answer is a rank_mask or
-              closure_mask query of the input on the whole ground set.
-              This is the only route for explicit input and the reference
-              the tests compare the row route with.
-  _RowViews   for realized input, by a subspace L, the state is the r -
-              rk(C) primitive integer rows of L taken modulo span(C), on n
-              columns, in reduced echelon form over one pivot column per
-              row inside R; their zero columns are C.  Deleting a non-pivot
-              keeps the rows; deleting a pivot, no coloop, moves its row's
-              pivot to another element of R by one fraction-free step;
-              contracting drops the row of a pivot, after such a step for
-              any other element.  The coloops are the pivots whose rows
-              have no other nonzero entry in R.  So tutte and char_poly make
-              no rank or closure query of the input, and the rows in flight
-              take recursion depth x r x n integers.
+  _dc_rows, _dc_masks  D in d of a loopless minor: 0 on a loop, (d - 1)
+                 D(M/1) on a coloop, D(M\\1) + d D(M/1) otherwise;
+  tutte          y T(M\\1) on a loop, x T(M/1) on a coloop, T(M\\1) + T(M/1)
+                 otherwise; a rank-1 minor of m non-loops and l loops is
+                 (x + y + ... + y^(m-1)) y^l at once;
+  char_poly      chi_k = (-1)^r D_(r-k), with D run on the element order
+                 n, 1, ..., n - 1.  score_count_dc runs D on 1, ..., n, so
+                 the two start from different minors, and the
+                 method-agreement check of `verify` compares two recursion
+                 trees; they coincide only where the rotation maps the
+                 rows or masks of M onto themselves (U(r, n) as explicit
+                 bases, say).
+
+None of them makes a rank or closure query of the input.  Each memo table
+lives for one top-level call; only the final chi is kept, on the Matroid
+instance.
 
 flat_terms reads chi(M|F) and |mu(M/F)| of every flat F off the walk up
-the lattice of flats, with no view recursion, so the two sides of
-verify_stratification share no code.
-
-Each memo table lives for one top-level call; only the final chi is kept,
-on the Matroid instance.  The corank-nullity expansion over all subsets is
-kept as an independent oracle, and the flats/Moebius expansion of the
-characteristic polynomial doubles as a second oracle for chi; neither goes
-through the view recursions.
+the lattice of flats, with no deletion-contraction, so the two sides of
+verify_stratification share no code.  The corank-nullity expansion over
+all subsets is kept as an independent oracle for Tutte, and the
+flats/Moebius expansion as one for chi.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from itertools import compress
+from functools import reduce
+from operator import add, or_, sub
 
-from .linalg import _eliminate
+from .linalg import _eliminate, _lead, _primitive
 from .matroids import Matroid, _flat_walk
 from .ratpoly import BiPoly, UniPoly, _frozen
 
 
-def _indices(mask: int) -> list[int]:
-    """0-based positions of the set bits of mask, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+# -- the positional minor step --------------------------------------------------
 
 
-class _MaskViews:
-    """View oracle on the mask rank oracle of M (explicit input, reference)."""
+def _rows_minors(rows: tuple) -> tuple[tuple | None, tuple]:
+    """M\\1 and M/1 of the realized minor whose primitive rref rows are
+    `rows`, where element 1 is no loop; M\\1 is None when 1 is a coloop.
 
-    def __init__(self, M: Matroid):
-        self.rank, self.closure = M.rank_mask, M.closure_mask
-
-    def start(self) -> tuple[int, None]:
-        return self.closure(0), None
-
-    def contract(self, C: int, state: None, S: int) -> tuple[int, None]:
-        return self.closure(C | S), None
-
-    def delete(self, R: int, state: None, e: int) -> None:
-        return None
-
-    def is_coloop(self, R: int, C: int, state: None, e: int) -> bool:
-        return self.rank((R ^ e) | C) < self.rank(R | C)
-
-    def coloops(self, R: int, C: int, state: None) -> int:
-        return sum(1 << j for j in _indices(R) if self.is_coloop(R, C, None, 1 << j))
-
-
-# A row view's state: its rows and, per row, its pivot and support bitmasks.
-_State = tuple[list, list[int], list[int]]
+    Column 0 is the pivot of the first row, so M/1 is the other rows with
+    column 0 dropped; its loops are the zero columns left.  M\\1 drops
+    column 0 from every row: when the first row is then zero, element 1 is
+    a coloop; otherwise one pivot step on that row at its first nonzero
+    column restores the rref.  Deletion leaves no loop.
+    """
+    head, *rest = [row[1:] for row in rows]
+    contracted = tuple(rest)
+    if not any(head):
+        return None, contracted
+    head = _primitive(head)
+    c = _lead(head)
+    reduced = _eliminate([head, *rest], 0, c)
+    # The other rows keep their order.  Head goes before the first of them
+    # whose pivot lies right of c: the first that is zero before c.
+    at = next((i for i, row in enumerate(rest) if not any(row[:c])), len(rest))
+    deleted = tuple(map(tuple, reduced[1:at + 1] + reduced[:1] + reduced[at + 1:]))
+    return deleted, contracted
 
 
-class _RowViews:
-    """View oracle on the integer rows of a realized M modulo span(C), in
-    reduced echelon form over pivot columns inside R."""
-
-    def __init__(self, M: Matroid):
-        self.bits = [1 << j for j in range(M.n)]
-        # The primitive rref rows the subspace stores; each lead is a pivot.
-        self.rows = M.subspace.rows
-
-    def _step(self, state: _State, p: int, e: int) -> _State:
-        """The state with column e cleared outside row p by one _eliminate
-        step; the rows it leaves as they are keep their supports."""
-        rows, pivots, supports = state
-        new, bits = _eliminate(rows, p, e.bit_length() - 1), self.bits
-        return new, pivots, [s if row is old else sum(compress(bits, row))
-                             for row, old, s in zip(new, rows, supports)]
-
-    def start(self) -> tuple[int, _State]:
-        supports = [sum(compress(self.bits, row)) for row in self.rows]
-        return self.contract(0, (self.rows, [s & -s for s in supports], supports), 0)
-
-    def contract(self, C: int, state: _State, S: int) -> tuple[int, _State]:
-        """cl(C + S), the zero columns, and the state with the rows modulo
-        its span.  For each element of S, its column is cleared outside the
-        last row that holds it, and that row is dropped."""
-        rows, pivots, supports = state
-        S &= ~C
-        while S:
-            e = S & -S
-            S ^= e
-            if e in pivots:
-                p = pivots.index(e)
-            else:
-                holders = [i for i, s in enumerate(supports) if s & e]
-                if not holders:
-                    continue
-                p = holders[-1]
-                if len(holders) > 1:
-                    rows, pivots, supports = self._step(
-                        (rows, pivots, supports), p, e)
-            rows, pivots, supports = list(rows), pivots.copy(), supports.copy()
-            del rows[p], pivots[p], supports[p]
-        nonzero = 0
-        for s in supports:
-            nonzero |= s
-        return ((1 << len(self.bits)) - 1) ^ nonzero, (rows, pivots, supports)
-
-    def delete(self, R: int, state: _State, e: int) -> _State:
-        """The state of the view on R after deleting e, which is not a
-        coloop: a pivot e hands its row to the last element of R in it."""
-        pivots = state[1]
-        if e not in pivots:
-            return state
-        p = pivots.index(e)
-        f = 1 << (state[2][p] & R).bit_length() - 1
-        rows, _, supports = self._step(state, p, f)
-        return rows, [*pivots[:p], f, *pivots[p + 1:]], supports
-
-    def is_coloop(self, R: int, C: int, state: _State, e: int) -> bool:
-        return e in state[1] and state[2][state[1].index(e)] & R == e
-
-    def coloops(self, R: int, C: int, state: _State) -> int:
-        coloops = 0
-        for s in state[2]:
-            s &= R
-            if not s & (s - 1):
-                coloops |= s
-        return coloops
+def _masks_minors(masks: frozenset) -> tuple[frozenset, frozenset]:
+    """M\\1 and M/1 of the explicit minor whose bases have the bitmasks
+    `masks`: the masks without bit 0 and the masks with it, shifted right.
+    The first is empty when element 1 is a coloop, the second when it is a
+    loop."""
+    held, missed = [], []
+    for b in masks:
+        (held if b & 1 else missed).append(b >> 1)
+    return frozenset(missed), frozenset(held)
 
 
-def _views(M: Matroid) -> _MaskViews | _RowViews:
-    return _RowViews(M) if M.is_realized else _MaskViews(M)
+# -- D(M, d), and chi from it ---------------------------------------------------
 
 
-_BI_ONE = BiPoly.one()
+def _dc_combine(deleted: tuple | None, contracted: tuple) -> tuple:
+    """Coefficients in d of deleted + d * contracted, or of
+    (d - 1) * contracted when element 1 is a coloop (deleted is None).
+
+    A nonzero D of a rank-r minor has r + 1 coefficients, so `deleted` is
+    never shorter than d * contracted: as long when M/1 is loopless, and
+    longer than the (0,) of a zero D(M/1) otherwise.
+    """
+    shifted = (0,) + contracted
+    if deleted is None:
+        return tuple(map(sub, shifted, contracted + (0,)))
+    return tuple(map(add, deleted, shifted)) + deleted[len(shifted):]
+
+
+def _dc_rows(rows: tuple, memo: dict) -> tuple:
+    """D in d of the loopless realized minor whose primitive rref rows, over
+    at least one column, are `rows`."""
+    value = memo.get(rows)
+    if value is not None:
+        return value
+    deleted, contracted = _rows_minors(rows)
+    if len(rows[0]) == 1:
+        contracted_value = (1,)
+    elif contracted and all(map(any, zip(*contracted))):
+        contracted_value = _dc_rows(contracted, memo)
+    else:
+        contracted_value = ()
+    deleted_value = None if deleted is None else _dc_rows(deleted, memo)
+    value = _dc_combine(deleted_value, contracted_value)
+    memo[rows] = value
+    return value
+
+
+def _dc_masks(masks: frozenset, n: int, memo: dict) -> tuple:
+    """D in d of the loopless explicit minor on n >= 1 elements whose bases
+    have the bitmasks `masks`.  The loops of M/1 are the bits none of its
+    masks covers."""
+    value = memo.get(masks)
+    if value is not None:
+        return value
+    deleted, contracted = _masks_minors(masks)
+    if n == 1:
+        contracted_value = (1,)
+    elif reduce(or_, contracted) == (1 << n - 1) - 1:
+        contracted_value = _dc_masks(contracted, n - 1, memo)
+    else:
+        contracted_value = ()
+    deleted_value = _dc_masks(deleted, n - 1, memo) if deleted else None
+    value = _dc_combine(deleted_value, contracted_value)
+    memo[masks] = value
+    return value
+
+
+def _dc_coeffs(M: Matroid, rotated: bool) -> tuple:
+    """Coefficients in d of D(M, d), by deletion-contraction on the element
+    order 1, ..., n, or n, 1, ..., n - 1 when `rotated`."""
+    n = M.n
+    if n == 0:
+        return (1,)
+    if M.loops():
+        return ()
+    if M.full_rank() == 1:
+        # n parallel elements: d - 1, as for n = 1.
+        return (-1, 1)
+    if M.is_realized:
+        rows = M.subspace.rows
+        if rotated:
+            # Column n goes first.  The last row with a nonzero entry there
+            # is the one whose pivot it replaces: one pivot step on it, moved
+            # to the top, gives the rref again.
+            rows = [row[-1:] + row[:-1] for row in rows]
+            p = max(i for i, row in enumerate(rows) if row[0])
+            rows = _eliminate(rows, p, 0)
+            rows = (tuple(_primitive(rows.pop(p))), *map(tuple, rows))
+        return _dc_rows(rows, {})
+    masks = M._basis_masks
+    if rotated:
+        masks = [b >> n - 1 | b << 1 & (1 << n) - 1 for b in masks]
+    return _dc_masks(frozenset(masks), n, {})
+
+
+def char_poly(M: Matroid) -> UniPoly:
+    """Characteristic polynomial chi(t) = (-1)^r T(1-t, 0), zero when the
+    matroid has a loop.
+
+    Since D(M, d) = (-d)^r chi(1/d), chi_k = (-1)^r D_(r-k), where D runs
+    on the element order n, 1, ..., n - 1: a nonzero D has r + 1
+    coefficients.  Computed on the first call and kept on M.
+    """
+    if M._charpoly is None:
+        sign = -1 if M.full_rank() % 2 else 1
+        M._charpoly = UniPoly([sign * c for c in reversed(_dc_coeffs(M, rotated=True))])
+    return M._charpoly
+
+
+# -- Tutte ----------------------------------------------------------------------
+
+
+def _rank_one(m: int, loops: int) -> BiPoly:
+    """T of m >= 1 parallel elements and `loops` loops:
+    (x + y + ... + y^(m-1)) y^loops."""
+    return BiPoly({(1, loops): 1, **{(0, j): 1 for j in range(loops + 1, loops + m)}})
+
+
+def _tutte_rows(rows: tuple, memo: dict) -> BiPoly:
+    """T of the realized minor whose primitive rref rows, at least one, are
+    `rows`.  Column 0 is a loop when the first row, and so every row, is
+    zero there."""
+    value = memo.get(rows)
+    if value is not None:
+        return value
+    if len(rows) == 1:
+        m = sum(map(bool, rows[0]))
+        value = _rank_one(m, len(rows[0]) - m)
+    elif not rows[0][0]:
+        value = _tutte_rows(tuple(row[1:] for row in rows), memo).shift(0, 1)
+    else:
+        deleted, contracted = _rows_minors(rows)
+        value = _tutte_rows(contracted, memo)
+        value = value.shift(1, 0) if deleted is None else _tutte_rows(deleted, memo) + value
+    memo[rows] = value
+    return value
+
+
+def _tutte_masks(masks: frozenset, n: int, memo: dict) -> BiPoly:
+    """T of the explicit minor of rank at least 1 on n elements whose bases
+    have the bitmasks `masks`.  Equal masks on different n differ by loops
+    at the end, so n is part of the key."""
+    key = masks, n
+    value = memo.get(key)
+    if value is not None:
+        return value
+    if next(iter(masks)).bit_count() == 1:
+        value = _rank_one(len(masks), n - len(masks))
+    else:
+        deleted, contracted = _masks_minors(masks)
+        if not contracted:
+            value = _tutte_masks(deleted, n - 1, memo).shift(0, 1)
+        elif not deleted:
+            value = _tutte_masks(contracted, n - 1, memo).shift(1, 0)
+        else:
+            value = _tutte_masks(deleted, n - 1, memo) + _tutte_masks(contracted, n - 1, memo)
+    memo[key] = value
+    return value
 
 
 def tutte(M: Matroid) -> BiPoly:
-    """Tutte polynomial by deletion-contraction.
-
-    Loops contribute a factor y, coloops a factor x, and otherwise
-    T = T(delete e) + T(contract e) on the smallest remaining element; a
-    view of one parallel class of m elements is x + y + ... + y^(m-1).
-    The factors of a view are applied as one shift of the exponents.
-    """
-    views = _views(M)
-    memo: dict[tuple[int, int], BiPoly] = {}
-
-    def view(R: int, C: int, state) -> BiPoly:
-        key = (R, C)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        loops = R & C
-        R ^= loops
-        coloops = views.coloops(R, C, state)
-        if coloops:
-            R ^= coloops
-            C, state = views.contract(C, state, coloops)
-        if R:
-            e = R & -R
-            R ^= e
-            Ce, state_e = views.contract(C, state, e)
-            if R & ~Ce:
-                value = view(R, C, views.delete(R, state, e)) + view(R, Ce, state_e)
-            else:
-                # R + e is one parallel class of rank 1: x + y + ... + y^|R|.
-                value = BiPoly({(1, 0): 1, **{(0, j): 1 for j in range(1, R.bit_count() + 1)}})
-        else:
-            value = _BI_ONE
-        if coloops or loops:
-            value = value.shift(coloops.bit_count(), loops.bit_count())
-        memo[key] = value
-        return value
-
-    try:
-        return view((1 << M.n) - 1, *views.start())
-    finally:
-        del view    # view refers to itself; without it the memo is freed now
+    """Tutte polynomial by deletion-contraction on element 1 of each
+    positional minor: y T(M\\1) on a loop, x T(M/1) on a coloop and
+    T(M\\1) + T(M/1) otherwise, with a rank-1 minor read off at once and
+    y^n for rank 0."""
+    if not M.full_rank():
+        return BiPoly({(0, M.n): 1})
+    if M.is_realized:
+        return _tutte_rows(M.subspace.rows, {})
+    return _tutte_masks(frozenset(M._basis_masks), M.n, {})
 
 
 def tutte_bruteforce(M: Matroid) -> BiPoly:
@@ -239,68 +277,6 @@ def tutte_bruteforce(M: Matroid) -> BiPoly:
     for (rk, size), mult in counts.items():
         total = total + (xpow[r - rk] * ypow[size - rk]).scale(mult)
     return total
-
-
-_T_MINUS_ONE = UniPoly((-1, 1))
-
-
-class _ViewChi:
-    """chi of the views of one matroid, memoized per instance.
-
-    chi(R, C, state) is the characteristic polynomial of the minor on the
-    elements R after contracting the flat C, whose state `views` gave.  It
-    recurses through the instance rather than through a closure that holds
-    itself, so the memo is freed with the last reference to `chi`, not by
-    the cyclic garbage collector.
-    """
-
-    __slots__ = ("memo", "views")
-
-    def __init__(self, views: _MaskViews | _RowViews):
-        self.memo: dict[tuple[int, int], UniPoly] = {}
-        self.views = views
-
-    def chi(self, R: int, C: int, state) -> UniPoly:
-        if R & C:
-            return UniPoly.zero()
-        if not R:
-            return UniPoly.one()
-        key = (R, C)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        views = self.views
-        e = R & -R
-        rest = R ^ e
-        Ce, state_e = views.contract(C, state, e)
-        if not rest & ~Ce:
-            # Every other element of R is parallel to e: a rank 1 view.
-            value = _T_MINUS_ONE
-        elif Ce & rest:
-            # e has a parallel partner in R, so M/e has a loop.
-            value = self.chi(rest, C, views.delete(rest, state, e))
-        elif views.is_coloop(R, C, state, e):
-            value = _T_MINUS_ONE * self.chi(rest, Ce, state_e)
-        else:
-            value = (self.chi(rest, C, views.delete(rest, state, e))
-                     - self.chi(rest, Ce, state_e))
-        self.memo[key] = value
-        return value
-
-
-def _view_chi(views: _MaskViews | _RowViews
-              ) -> Callable[[int, int, object], UniPoly]:
-    """chi of the views of one matroid, memoized per returned function."""
-    return _ViewChi(views).chi
-
-
-def char_poly(M: Matroid) -> UniPoly:
-    """Characteristic polynomial chi(t) = (-1)^r T(1-t, 0), zero when the
-    matroid has a loop."""
-    if M._charpoly is None:
-        views = _views(M)
-        M._charpoly = _view_chi(views)((1 << M.n) - 1, *views.start())
-    return M._charpoly
 
 
 def _char_poly_from_tutte(T: BiPoly, r: int) -> UniPoly:

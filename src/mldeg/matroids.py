@@ -46,13 +46,14 @@ class Matroid:
     """Ground set {1..n} plus a rank oracle, realized or explicit.
 
     The per-instance caches `_rank_cache` and `_closure_cache` are not
-    bounded: they gain an entry for every subset mask a query reaches, so
-    they grow with every view and minor a kept Matroid is asked about.
-    Every rank or closure query fills them, one rank entry per query, a
-    closure included; on explicit-bases input, Tutte and chi query.  The
-    `flats` walk, and Tutte and chi on a realized input, leave them empty.
-    Drop the Matroid to free them.  An explicit input builds its basis
-    bitsets `_holders` on its first query or walk, not on construction.
+    bounded: they gain an entry for every subset mask a query reaches.
+    Only rank and closure queries fill them, one rank entry per query, a
+    closure included: direct ones, and those of `coloops`, `bases` of a
+    realized input and `connected_components`.  The `flats` walk, Tutte,
+    chi and the deletion-contraction count leave them empty, on realized
+    and explicit input alike.  Drop the Matroid to free them.  An explicit
+    input builds its basis bitsets `_holders` on its first query or walk,
+    not on construction.
     """
 
     __slots__ = (

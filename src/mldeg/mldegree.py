@@ -10,11 +10,12 @@ Everything here is a function of the matroid M of the subspace L:
 
 All three read only the characteristic polynomial chi.  Since
 d^r T(1 - 1/d, 0) = (-d)^r chi(1/d), the count is also a Tutte evaluation.
-score_count_dc recomputes the same number by deletion-contraction, an
-independent route used in the verification suite.  It recurses on each
-minor's own data, the primitive integer rref rows of a realized minor or
-the basis bitmasks of an explicit one, removing element 1 each time, and
-uses nothing of the chi recursions.  Its result is a polynomial in d, kept
+score_count_dc recomputes the same number by deletion-contraction, a
+second route used in the verification suite.  It recurses on each minor's
+own data, the primitive integer rref rows of a realized minor or the basis
+bitmasks of an explicit one, removing element 1 each time.  chi runs the
+same recursion (mldeg.invariants) on another element order, n first, so
+the two start from different minors.  The result is a polynomial in d, kept
 on the Matroid, so one pass serves every exponent.  All degrees are zero as
 soon as the matroid has a loop.
 
@@ -29,10 +30,9 @@ import math
 import os
 from collections import Counter
 from collections.abc import Sequence
-from operator import add, sub
 
-from .invariants import char_poly, flat_terms, mobius_invariant
-from .linalg import Subspace, _eliminate, _lead, _primitive
+from .invariants import _dc_coeffs, char_poly, flat_terms, mobius_invariant
+from .linalg import Subspace
 from .matroids import Matroid, _flat_walk, flats, is_partition_matroid
 from .ratpoly import BiPoly, UniPoly, _frozen
 
@@ -91,7 +91,8 @@ def score_count_dc(M: Matroid | Subspace, d: int) -> int:
     A single coloop therefore counts d-1: solving the one-variable score
     system directly gives x^(d-1) = 1/s.  The recursion is linear in its
     children, so it runs once per matroid and returns D as a polynomial in
-    d (`_dc_poly`, kept on M), which is evaluated here.
+    d (`_dc_poly`, kept on M), which is evaluated here.  It runs on another
+    element order than chi.
     """
     if d < 1:
         raise ValueError("deletion-contraction route needs d >= 1")
@@ -101,100 +102,12 @@ def score_count_dc(M: Matroid | Subspace, d: int) -> int:
 def _dc_poly(M: Matroid) -> UniPoly:
     """D(M, d) as a polynomial in d, computed on the first call and kept on
     M.  The recursion reads only the minors' own data: the primitive integer
-    rref rows of a realized minor (`_dc_rows`) or the basis bitmasks of an
-    explicit one (`_dc_masks`), each also its memo key.  It shares no code
-    with chi."""
+    rref rows of a realized minor or the basis bitmasks of an explicit one,
+    each also its memo key (`invariants._dc_coeffs`).  It keeps element 1
+    first, so it runs on another element order than chi."""
     if M._dc_poly is None:
-        if M.n == 0:
-            coeffs = (1,)
-        elif M.loops():
-            coeffs = ()
-        elif M.is_realized:
-            coeffs = _dc_rows(M.subspace.rows, {})
-        else:
-            coeffs = _dc_masks(frozenset(M._basis_masks), M.n, {})
-        M._dc_poly = UniPoly(coeffs)
+        M._dc_poly = UniPoly(_dc_coeffs(M, rotated=False))
     return M._dc_poly
-
-
-def _dc_combine(deleted: tuple | None, contracted: tuple) -> tuple:
-    """Coefficients in d of deleted + d * contracted, or of
-    (d - 1) * contracted when element 1 is a coloop (deleted is None).
-
-    A nonzero D of a rank-r minor has r + 1 coefficients, so `deleted` is
-    never shorter than d * contracted: as long when M/1 is loopless, and
-    longer than the (0,) of a zero D(M/1) otherwise.
-    """
-    shifted = (0,) + contracted
-    if deleted is None:
-        return tuple(map(sub, shifted, contracted + (0,)))
-    return tuple(map(add, deleted, shifted)) + deleted[len(shifted):]
-
-
-def _dc_rows(rows: tuple, memo: dict) -> tuple:
-    """D in d of the loopless realized minor whose primitive rref rows, over
-    at least one column, are `rows`; element 1 is column 0.
-
-    Column 0 is the pivot of the first row, so M/1 is the other rows with
-    column 0 dropped.  Its loops are the zero columns left.  M\\1 drops
-    column 0 from every row: when the first row is then zero, element 1 is
-    a coloop; otherwise one pivot step on that row at its first nonzero
-    column restores the rref.  Deletion leaves no loop.
-    """
-    value = memo.get(rows)
-    if value is not None:
-        return value
-    head, *rest = [row[1:] for row in rows]
-    contracted = tuple(rest)
-    if not head:
-        contracted_value = (1,)
-    elif contracted and all(map(any, zip(*contracted))):
-        contracted_value = _dc_rows(contracted, memo)
-    else:
-        contracted_value = ()
-    deleted_value = None
-    if any(head):
-        head = _primitive(head)
-        c = _lead(head)
-        reduced = _eliminate([head, *rest], 0, c)
-        # The other rows keep their order.  Head goes before the first of
-        # them whose pivot lies right of c: the first that is zero before c.
-        at = next((i for i, row in enumerate(rest) if not any(row[:c])), len(rest))
-        deleted = tuple(map(tuple, reduced[1:at + 1] + reduced[:1] + reduced[at + 1:]))
-        deleted_value = _dc_rows(deleted, memo)
-    value = _dc_combine(deleted_value, contracted_value)
-    memo[rows] = value
-    return value
-
-
-def _dc_masks(masks: frozenset, n: int, memo: dict) -> tuple:
-    """D in d of the loopless explicit minor on n >= 1 elements whose bases
-    have the bitmasks `masks`; element 1 is bit 0.
-
-    The bases of M/1 are the masks that hold bit 0, shifted right; its
-    loops are the bits none of them covers.  The bases of M\\1 are the
-    masks without bit 0, shifted right; when there are none, element 1 is a
-    coloop.  Deletion leaves no loop.
-    """
-    value = memo.get(masks)
-    if value is not None:
-        return value
-    held, missed = [], []
-    for b in masks:
-        (held if b & 1 else missed).append(b >> 1)
-    covered = 0
-    for b in held:
-        covered |= b
-    if n == 1:
-        contracted_value = (1,)
-    elif covered == (1 << n - 1) - 1:
-        contracted_value = _dc_masks(frozenset(held), n - 1, memo)
-    else:
-        contracted_value = ()
-    deleted_value = _dc_masks(frozenset(missed), n - 1, memo) if missed else None
-    value = _dc_combine(deleted_value, contracted_value)
-    memo[masks] = value
-    return value
 
 
 def _binom(m: int, k: int) -> int:

@@ -74,6 +74,10 @@ class UniPoly:
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
 
+    def __reduce__(self):
+        # Copies and pickles rebuild through __init__, not by setting slots.
+        return UniPoly, (self.coeffs,)
+
     @classmethod
     def zero(cls) -> "UniPoly":
         return cls(())
@@ -200,6 +204,9 @@ class BiPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
+
+    def __reduce__(self):
+        return BiPoly, (self._terms,)
 
     @classmethod
     def zero(cls) -> "BiPoly":

@@ -207,6 +207,16 @@ def _explicit_copy(M: Matroid) -> Matroid:
     return Matroid.from_bases(M.n, M.bases())
 
 
+def permuted(M: Matroid, order: list[int]) -> Matroid:
+    """M with element order[k] renamed k + 1: the columns of a realized M
+    taken in that order, or the bases of an explicit one relabelled."""
+    if M.is_realized:
+        rows = [[row[j - 1] for j in order] for row in M.subspace.rows]
+        return Matroid.from_matrix(QMatrix.from_rows(rows, cols=M.n))
+    name = {e: k + 1 for k, e in enumerate(order)}
+    return Matroid.from_bases(M.n, [[name[e] for e in b] for b in M.bases()])
+
+
 @lru_cache(maxsize=None)
 def corpus() -> tuple[Matroid, ...]:
     rng = random.Random(20260809)

@@ -37,8 +37,9 @@ from mldeg.mldegree import (
 from mldeg.ratpoly import UniPoly
 
 from conftest import (
-    _explicit_copy, corpus_upto, family_chi, family_matroid, family_roots,
-    k4_matroid, planted_matrices, reference_flat_terms, reference_flats, vamos_matroid,
+    _explicit_copy, corpus, corpus_upto, family_chi, family_matroid, family_roots,
+    k4_matroid, permuted, planted_matrices, reference_flat_terms, reference_flats,
+    vamos_matroid,
 )
 
 
@@ -192,45 +193,67 @@ class TestDeletionContractionRoute:
         # Each realized minor is visited as the primitive rref rows that
         # Subspace stores, so equal minors share one memo entry.
         seen = []
-        route = mldeg.mldegree._dc_rows
+        route = mldeg.invariants._dc_rows
 
         def record(rows, memo):
             seen.append(rows)
             return route(rows, memo)
 
-        mldeg.mldegree._dc_rows = record
+        mldeg.invariants._dc_rows = record
         try:
             score_count_dc(Matroid.from_matrix(A), 2)
         finally:
-            mldeg.mldegree._dc_rows = route
+            mldeg.invariants._dc_rows = route
         for rows in seen:
             assert Subspace.from_matrix(Subspace(len(rows[0]), rows).basis).rows == rows
 
     def test_one_pass_serves_every_exponent(self, monkeypatch):
         M, E = k4_matroid(), _explicit_copy(k4_matroid())
         first = (score_count_dc(M, 1), score_count_dc(E, 1))
+        expected = [score_count(k4_matroid(), d) for d in (2, 3, 4)]
 
         def refuse(*_):
             raise AssertionError("deletion-contraction ran twice")
 
-        monkeypatch.setattr(mldeg.mldegree, "_dc_rows", refuse)
-        monkeypatch.setattr(mldeg.mldegree, "_dc_masks", refuse)
+        monkeypatch.setattr(mldeg.invariants, "_dc_rows", refuse)
+        monkeypatch.setattr(mldeg.invariants, "_dc_masks", refuse)
         assert first == (0, 0)
-        for d in (2, 3, 4):
-            assert score_count_dc(M, d) == score_count_dc(E, d) == score_count(M, d)
+        for d, count in zip((2, 3, 4), expected):
+            assert score_count_dc(M, d) == score_count_dc(E, d) == count
 
-    def test_shares_no_code_with_chi(self, monkeypatch):
-        inputs = (k4_matroid(), _explicit_copy(k4_matroid()), vamos_matroid())
+    def test_starts_from_another_root_minor_than_chi(self, monkeypatch):
+        # chi runs the same recursion on the element order n, 1, ..., n - 1,
+        # so the method-agreement check of verify compares two recursion
+        # trees.  They coincide only where that rotation maps the rows or
+        # the basis masks of M onto themselves (U(r, n) as explicit bases,
+        # U(n, n) realized); there every element order gives the same
+        # minors.  Such inputs stay a minority of the corpus.
+        seen = []
+        for name in ("_dc_rows", "_dc_masks"):
+            def record(minor, *rest, route=getattr(mldeg.invariants, name)):
+                seen.append(minor)
+                return route(minor, *rest)
 
-        def refuse(*_):
-            raise AssertionError("deletion-contraction used the chi machinery")
-
-        for module, name in ((mldeg.mldegree, "char_poly"), (mldeg.invariants, "char_poly"),
-                             (mldeg.invariants, "_view_chi"), (mldeg.linalg, "_pivot"),
-                             (mldeg.linalg, "_modulo"), (mldeg.matroids, "_modulo")):
-            monkeypatch.setattr(module, name, refuse)
-        for M in inputs:
-            assert score_count_dc(M, 2) == (15 if M.n == 6 else 169)
+            monkeypatch.setattr(mldeg.invariants, name, record)
+        checked = distinct = 0
+        for M in corpus():
+            # A rank-1 input is read off at once, with no recursion.
+            if M.full_rank() < 2 or M.loops():
+                continue
+            checked += 1
+            N = Matroid.from_subspace(M.subspace) if M.is_realized else _explicit_copy(M)
+            roots = []
+            for route in (char_poly, _dc_poly):
+                seen.clear()
+                route(N)
+                roots.append(seen[0])
+            rotated = permuted(N, [N.n, *range(1, N.n)])
+            data = [P.subspace.rows if P.is_realized else frozenset(P._basis_masks)
+                    for P in (rotated, N)]
+            assert roots == data
+            assert (roots[0] == roots[1]) == (data[0] == data[1])
+            distinct += roots[0] != roots[1]
+        assert distinct > checked // 2
 
 
 class TestStructuredCounts:

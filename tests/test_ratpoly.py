@@ -1,10 +1,12 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mldeg import BiPoly, UniPoly, format_rational, parse_rational
+from mldeg import BiPoly, UniPoly, char_poly, format_rational, parse_rational, uniform_matroid
 
 CHI_U23 = UniPoly((2, -3, 1))          # t^2 - 3t + 2
 TUTTE_U23 = BiPoly({(2, 0): 1, (1, 0): 1, (0, 1): 1})   # x^2 + x + y
@@ -141,3 +143,19 @@ class TestBiPoly:
     @given(bipolys, st.integers(0, 3), st.integers(0, 3))
     def test_shift_is_product_with_monomial(self, p, i, j):
         assert p.shift(i, j) == p * BiPoly({(i, j): 1})
+
+
+@pytest.mark.parametrize("poly", [CHI_U23, UniPoly.zero(), TUTTE_U23, BiPoly.zero()])
+def test_copies_and_pickles_round_trip(poly):
+    for clone in (copy.copy(poly), copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
+        assert type(clone) is type(poly) and clone == poly
+        with pytest.raises(AttributeError):
+            clone.coeffs = ()
+
+
+def test_deep_copy_of_a_matroid_with_chi_cached():
+    M = uniform_matroid(5, 3)
+    chi = char_poly(M)
+    clone = copy.deepcopy(M)
+    assert clone._charpoly == chi and clone._charpoly is not chi
+    assert char_poly(clone) == chi

@@ -1,9 +1,9 @@
-"""The view recursions behind tutte / char_poly / score_count against the
-reference routes that build no views: the corank-nullity expansion, the
+"""The positional deletion-contraction engine behind tutte / char_poly /
+score_count against the reference routes that do not use it: the view
+engine of tests/view_engine.py, the corank-nullity expansion, the
 flats/Moebius sum, and deletion-contraction on explicitly built minors.
-On realized input the views carry projected integer rows; those answers
-are also compared with the explicit-bases copy, whose views ask the mask
-rank oracle.
+Realized input runs on its rref rows, explicit input on its basis masks;
+each is also compared with the other, through explicit-bases copies.
 
 Each check runs on a fresh copy of its matroid, because chi is cached on
 the instance and a shared corpus entry may already carry it from another
@@ -17,6 +17,7 @@ from math import gcd
 import mldeg.invariants
 import mldeg.linalg
 import mldeg.mldegree
+import pytest
 from hypothesis import given, strategies as st
 
 from mldeg import (
@@ -38,11 +39,12 @@ from mldeg import (
 )
 
 from conftest import (
-    _explicit_copy, corpus, corpus_upto, family_matroid, planted_matrices,
+    _explicit_copy, corpus, corpus_upto, family_matroid, permuted, planted_matrices,
     random_matrix, vamos_matroid,
 )
-from mldeg.invariants import (
-    _MaskViews, _RowViews, _indices, _view_chi, flat_terms,
+from mldeg.invariants import flat_terms
+from view_engine import (
+    MaskViews, RowViews, indices, view_char_poly, view_chi, view_tutte,
 )
 
 
@@ -53,8 +55,8 @@ def fresh(M: Matroid) -> Matroid:
 
 
 def check_against_references(M: Matroid) -> None:
-    assert tutte(fresh(M)) == tutte_bruteforce(M)
-    assert char_poly(fresh(M)) == char_poly_flats(M)
+    assert tutte(fresh(M)) == tutte_bruteforce(M) == view_tutte(M)
+    assert char_poly(fresh(M)) == char_poly_flats(M) == view_char_poly(fresh(M))
     for d in (1, 2, 3, 4):
         assert score_count(fresh(M), d) == score_count_dc(M, d)
 
@@ -145,7 +147,7 @@ def mask_flat_terms(M: Matroid):
     recursions on the mask oracle, the reference for the lattice route of
     flat_terms.  M|F is the view (F, cl(empty)) and M/F the view (E - F, F);
     one chi memo serves every flat passed to the returned function."""
-    chi = _view_chi(_MaskViews(M))
+    chi = view_chi(MaskViews(M))
     ground = (1 << M.n) - 1
     bottom = M.closure_mask(0)
 
@@ -163,15 +165,15 @@ def row_flat_terms(M: Matroid):
     one that is not a coloop of the view so far and contracting each one
     that is (M\\e = M/e for a coloop e); the view (E - F, F) starts from the
     rows taken modulo span(F)."""
-    views = _RowViews(M)
-    chi = _view_chi(views)
+    views = RowViews(M)
+    chi = view_chi(views)
     ground = (1 << M.n) - 1
     bottom, start = views.start()
 
     def terms(F):
         mask = M.mask(F)
         R, C, state = ground, bottom, start
-        for j in _indices(ground ^ mask):
+        for j in indices(ground ^ mask):
             e = 1 << j
             R ^= e
             if views.is_coloop(R | e, C, state, e):
@@ -216,7 +218,7 @@ def test_fraction_entries_and_row_content():
     assert tutte(fresh(M)) == tutte_bruteforce(M)
     # Every contraction by one element leaves r - 1 primitive rows whose zero
     # columns are the closure, and some pivot step meets content > 1.
-    views = _RowViews(fresh(M))
+    views = RowViews(fresh(M))
     bottom, state = views.start()
     start = state[0]
     divided = False
@@ -234,29 +236,34 @@ def test_fraction_entries_and_row_content():
 
 def test_free_matroid_pivots_once_per_element(monkeypatch):
     # Every element is a coloop, so neither recursion may take a deletion
-    # branch: each element is contracted once, by dropping its pivot row,
-    # and no elimination step runs, let alone 2^n of them.
+    # branch: each positional minor is split once, by dropping its first
+    # row, and no elimination step changes a row, let alone 2^n of them.
     n = 6
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     M = Matroid.from_matrix(QMatrix.from_rows(identity))
-    contracted = []
-    contract = _RowViews.contract
+    split = []
+    rows_minors = mldeg.invariants._rows_minors
+    eliminate = mldeg.invariants._eliminate
 
-    def counted_contract(self, C, state, S):
-        contracted.extend(_indices(S & ~C))
-        return contract(self, C, state, S)
+    def counted(rows):
+        split.append(len(rows))
+        deleted, contracted = rows_minors(rows)
+        assert deleted is None
+        return deleted, contracted
 
-    def refused(*args):
-        raise AssertionError("a deletion or an elimination step ran")
+    def unchanged(rows, p, c):
+        out = eliminate(rows, p, c)
+        assert all(a is b for a, b in zip(out, rows)), "an elimination step ran"
+        return out
 
-    monkeypatch.setattr(_RowViews, "contract", counted_contract)
-    monkeypatch.setattr(_RowViews, "delete", refused)
-    monkeypatch.setattr(mldeg.invariants, "_eliminate", refused)
+    monkeypatch.setattr(mldeg.invariants, "_rows_minors", counted)
+    monkeypatch.setattr(mldeg.invariants, "_eliminate", unchanged)
+    # Tutte reads the rank-1 minor left at the end off without a split.
     assert tutte(fresh(M)) == BiPoly({(n, 0): 1})
-    assert sorted(contracted) == list(range(n))
-    contracted.clear()
+    assert split == list(range(n, 1, -1))
+    split.clear()
     assert char_poly(fresh(M)) == UniPoly((-1, 1)) ** n
-    assert sorted(contracted) == list(range(n))
+    assert split == list(range(n, 0, -1))
     monkeypatch.undo()
     check_rows_against_masks(M)
 
@@ -286,7 +293,7 @@ def test_row_coloops_match_mask_coloops_along_walks(A, rng):
     # must hold rows of the form check_row_state pins, and read the same
     # coloops off them as the mask oracle finds by rank queries.
     M = Matroid.from_matrix(A)
-    rows, masks = _RowViews(M), _MaskViews(M)
+    rows, masks = RowViews(M), MaskViews(M)
     for _ in range(3):
         C, state = rows.start()
         assert C == masks.start()[0]
@@ -295,13 +302,13 @@ def test_row_coloops_match_mask_coloops_along_walks(A, rng):
             check_row_state(M, R, C, state)
             coloops = rows.coloops(R, C, state)
             assert coloops == masks.coloops(R, C, None)
-            for j in _indices(R):
+            for j in indices(R):
                 assert (rows.is_coloop(R, C, state, 1 << j)
                         == masks.is_coloop(R, C, None, 1 << j)
                         == bool(coloops >> j & 1))
             if not R:
                 break
-            e = 1 << rng.choice(_indices(R))
+            e = 1 << rng.choice(indices(R))
             R ^= e
             if rng.random() < 0.5 and not coloops & e:
                 state = rows.delete(R, state, e)
@@ -326,9 +333,51 @@ def test_row_views_build_no_dual_rows(monkeypatch):
 
 
 def test_row_route_leaves_the_mask_caches_empty():
+    # Neither the rows of a realized input nor the basis masks of an
+    # explicit one go through a rank or closure query.
     for M in corpus_upto(8):
-        if M.is_realized:
-            N = fresh(M)
+        for N in (fresh(M), _explicit_copy(M)):
             tutte(N)
             char_poly(N)
             assert N._rank_cache == {} and N._closure_cache == {}
+
+
+def check_against_views(M: Matroid) -> None:
+    """tutte and char_poly of M and of its explicit-bases copy equal the
+    view engine's."""
+    for N in (M, _explicit_copy(M)):
+        assert tutte(fresh(N)) == view_tutte(fresh(N))
+        assert char_poly(fresh(N)) == view_char_poly(fresh(N))
+
+
+def test_corpus_matches_views():
+    for M in corpus():
+        check_against_views(M)
+
+
+@pytest.mark.parametrize("family, n", [("K", n) for n in range(3, 8)]
+                         + [("B", n) for n in range(2, 6)]
+                         + [("D", n) for n in range(2, 6)]
+                         + [("W", n) for n in range(3, 7)])
+def test_families_match_views(family, n):
+    check_against_views(family_matroid(family, n))
+
+
+@given(planted_matrices())
+def test_planted_inputs_match_views(A):
+    check_against_views(Matroid.from_matrix(A))
+
+
+@given(planted_matrices(), st.randoms(use_true_random=False))
+def test_relabelling_changes_no_invariant(A, rng):
+    # The positional memo depends on the element order; the answers must not.
+    M = Matroid.from_matrix(A)
+    order = list(range(1, M.n + 1))
+    rng.shuffle(order)
+    for N in (M, _explicit_copy(M)):
+        P = permuted(N, order)
+        assert P.is_realized == N.is_realized
+        assert char_poly(P) == char_poly(fresh(N))
+        assert tutte(P) == tutte(N)
+        assert mldeg.mldegree._dc_poly(P) == mldeg.mldegree._dc_poly(fresh(N))
+        assert rmld(P) == rmld(N)
