@@ -20,23 +20,16 @@ from .invariants import (
 from .linalg import (
     QMatrix,
     Subspace,
-    contract_subspace,
-    kernel,
     rank,
-    restrict_subspace,
     rref,
 )
 from .matroids import (
     FlatLattice,
     Matroid,
     connected_components,
-    contract,
-    contract_set,
-    delete,
     flats,
     is_partition_matroid,
     matroid_from_json_dict,
-    restrict,
     uniform_matroid,
 )
 from .mldegree import (

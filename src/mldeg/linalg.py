@@ -10,16 +10,14 @@ one row and divides each changed row by its content.  Input is brought to
 the stored form by clearing denominators once and running Gauss-Jordan
 elimination by such steps; a rank counts the steps that drop a row
 (_pivot), and rows taken modulo a set of columns (_modulo) are one _pivot
-per column, whose zero columns then mark the closure of the set.
-Restriction and contraction work on the stored rows with the same steps,
-so no minor goes through Fractions: they appear only at the boundary, in
-QMatrix input, in rref() and in the Subspace.basis matrix that the solver
-and JSON output read.
+per column, whose zero columns then mark the closure of the set.  The
+minors of mldeg.invariants take the same steps on the stored rows, so no
+minor goes through Fractions: they appear only at the boundary, in QMatrix
+input, in rref() and in the Subspace.basis matrix that the solver and JSON
+output read.
 
-Coordinates of the ambient space are 1-based (the ground set of the matroid
-downstream is {1, ..., n}).  Operations that drop coordinates return, next to
-the result, the tuple of surviving ambient indices: survivor k of the result
-lived at ambient index labels[k-1].
+Column j of the stored rows is coordinate j + 1 of the ambient space (the
+ground set of the matroid downstream is {1, ..., n}).
 """
 
 from __future__ import annotations
@@ -209,23 +207,11 @@ class Subspace:
     ambient_n: int
     rows: tuple[tuple[int, ...], ...]
 
-    # Written out, not left to _frozen: every restriction and contraction
-    # builds a Subspace, and the generic __init__, == and hash are slower.
-    def __init__(self, ambient_n: int, rows: tuple[tuple[int, ...], ...]):
-        if ambient_n < 0:
+    def __post_init__(self):
+        if self.ambient_n < 0:
             raise ValueError("ambient dimension must be nonnegative")
-        if any(len(row) != ambient_n for row in rows):
+        if any(len(row) != self.ambient_n for row in self.rows):
             raise ValueError("row length inconsistent with ambient dimension")
-        object.__setattr__(self, "ambient_n", ambient_n)
-        object.__setattr__(self, "rows", rows)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.ambient_n == other.ambient_n and self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ambient_n, self.rows))
 
     @property
     def dim(self) -> int:
@@ -246,87 +232,3 @@ class Subspace:
     @classmethod
     def zero(cls, n: int) -> "Subspace":
         return cls(n, ())
-
-    @classmethod
-    def full(cls, n: int) -> "Subspace":
-        return cls(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-
-def _null_vectors(L: Subspace) -> list[list[int]]:
-    """A basis of the orthogonal complement of L, one primitive integer
-    vector per free column of its rref (not itself in rref)."""
-    n = L.ambient_n
-    # Each vector is scaled by the lcm of the pivot entries to stay integral.
-    pivots = [_lead(row) for row in L.rows]
-    scale = lcm(*(row[p] for row, p in zip(L.rows, pivots)))
-    vectors = []
-    for f in sorted(set(range(n)).difference(pivots)):
-        v = [0] * n
-        v[f] = scale
-        for row, p in zip(L.rows, pivots):
-            v[p] = -row[f] * scale // row[p]
-        vectors.append(_primitive(v))
-    return vectors
-
-
-def kernel(L: Subspace) -> Subspace:
-    """Orthogonal complement under the standard bilinear pairing.
-
-    dim kernel(L) = n - dim L, and every basis vector of the result pairs to
-    zero with every basis vector of L.
-    """
-    return Subspace(L.ambient_n, _echelon(_null_vectors(L)))
-
-
-def _check_index_set(indices: Iterable[int], n: int) -> tuple[int, ...]:
-    idx = sorted(set(int(i) for i in indices))
-    if idx and (idx[0] < 1 or idx[-1] > n):
-        raise ValueError(f"index set {idx} not inside 1..{n}")
-    return tuple(idx)
-
-
-def restrict_subspace(L: Subspace, F: Iterable[int]) -> tuple[Subspace, tuple[int, ...]]:
-    """Coordinate projection of L onto the 1-based index set F.
-
-    Returns the projected subspace together with the surviving ambient
-    indices in order (new coordinate k corresponds to labels[k-1]).
-
-    A stored row whose pivot column survives keeps its pivot, and is zero
-    in every other pivot column.  Each row whose pivot column is dropped
-    takes one pivot step at its first surviving nonzero column, which is
-    cleared from the other rows; rows that vanish are dropped.
-    """
-    labels = _check_index_set(F, L.ambient_n)
-    cols = [i - 1 for i in labels]
-    kept = set(cols)
-    rows = [_primitive([row[j] for j in cols]) for row in L.rows]
-    for i, row in enumerate(L.rows):
-        if _lead(row) not in kept:
-            c = _lead(rows[i])
-            if c is not None:
-                rows = _eliminate(rows, i, c)
-    rows = sorted((tuple(row) for row in rows if any(row)), key=_lead)
-    return Subspace(len(cols), tuple(rows)), labels
-
-
-def contract_subspace(L: Subspace, I: Iterable[int]) -> tuple[Subspace, tuple[int, ...]]:
-    """Vectors of L vanishing on I, with the I coordinates dropped.
-
-    Returns the contracted subspace viewed inside C^(complement of I), plus
-    the surviving ambient indices in order.
-
-    In the rref of L with the I columns first, the rows zero on I span the
-    vectors of L vanishing on I and, with those columns dropped, are the
-    rref of the result.  When I is a prefix of 1..n the stored rows already
-    have that column order and no elimination runs.
-    """
-    drop = _check_index_set(I, L.ambient_n)
-    dropped = set(drop)
-    labels = tuple(i for i in range(1, L.ambient_n + 1) if i not in dropped)
-    if not drop:
-        return L, labels
-    k = len(drop)
-    rows = L.rows
-    if drop[-1] != k:
-        rows = _echelon([[row[i - 1] for i in drop + labels] for row in rows])
-    return Subspace(len(labels), tuple(row[k:] for row in rows if not any(row[:k]))), labels

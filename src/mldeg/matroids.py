@@ -7,20 +7,17 @@ exists so that purely combinatorial formulas can be exercised on matroids
 with no realization at hand.
 
 Subsets are also handled as int bitmasks, element e at bit e - 1.  Rank and
-closure queries are memoized per instance, keyed by mask; the caches are
-filled monotonically with values that never change, so concurrent readers
-are safe under the interpreter lock.  A realized closure is read off the
-integer rows after one pivot step per column of the mask.  An explicit
+closure queries are answered afresh each time, not memoized: a realized
+rank eliminates the columns of the mask, and a realized closure is read off
+the integer rows after one pivot step per column of the mask.  An explicit
 rank is a greedy count over one bitset of bases per element, and the
-closure adds the elements that no basis left after the count holds.  The
-lattice of flats, once built, is immutable.
+closure adds the elements that no basis left after the count holds.
 
-Minor operations relabel the surviving ground set by order-preserving
-compression and return the relabeling alongside: element k of the minor sat
-at ambient index labels[k-1].  An explicit minor filters the basis list.
-The flats are found by one walk up the ranks that asks no rank or closure
-query and keeps them as bitmasks; the lattice, sorted frozensets with only
-the Moebius values mu(bottom, F), is built from it on first read.
+Minors are not built here: the invariants recurse on the rref rows or the
+basis masks of a minor (mldeg.invariants).  The flats are found by one walk
+up the ranks that asks no rank or closure query and keeps them as bitmasks;
+the lattice, sorted frozensets with only the Moebius values mu(bottom, F),
+is built from it on first read and is immutable.
 """
 
 from __future__ import annotations
@@ -29,31 +26,20 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import (
-    QMatrix,
-    Subspace,
-    _modulo,
-    _pivot,
-    _primitive,
-    contract_subspace,
-    rank_int_rows,
-    restrict_subspace,
-)
+from .linalg import QMatrix, Subspace, _modulo, _pivot, _primitive, rank_int_rows
 from .ratpoly import _frozen
 
 
 class Matroid:
     """Ground set {1..n} plus a rank oracle, realized or explicit.
 
-    The per-instance caches `_rank_cache` and `_closure_cache` are not
-    bounded: they gain an entry for every subset mask a query reaches.
-    Only rank and closure queries fill them, one rank entry per query, a
-    closure included: direct ones, and those of `coloops`, `bases` of a
-    realized input and `connected_components`.  The `flats` walk, Tutte,
-    chi and the deletion-contraction count leave them empty, on realized
-    and explicit input alike.  Drop the Matroid to free them.  An explicit
-    input builds its basis bitsets `_holders` on its first query or walk,
-    not on construction.
+    Rank and closure queries keep nothing: direct ones, and those of
+    `coloops`, `bases` of a realized input and `connected_components`,
+    compute each answer anew.  The `flats` walk, Tutte, chi and the
+    deletion-contraction count ask none of them.  What an instance keeps is
+    one value per invariant (flats, components, chi, the count in d) and,
+    for explicit input, the basis bitsets `_holders`, built on its first
+    query or walk, not on construction.
     """
 
     __slots__ = (
@@ -62,8 +48,6 @@ class Matroid:
         "_bases",
         "_basis_masks",
         "_holders",
-        "_rank_cache",
-        "_closure_cache",
         "_flats",
         "_components",
         "_charpoly",
@@ -81,8 +65,6 @@ class Matroid:
         self._bases = None
         self._basis_masks = None
         self._holders = None
-        self._rank_cache: dict[int, int] = {}
-        self._closure_cache: dict[int, int] = {}
         # The walk up the lattice of flats, set by _flat_walk.
         self._flats = None
         self._components = None
@@ -184,41 +166,28 @@ class Matroid:
 
     def rank_mask(self, mask: int) -> int:
         """Rank of the subset whose element e sits at bit e - 1."""
-        cached = self._rank_cache.get(mask)
-        if cached is None:
-            if self._subspace is None:
-                cached = self._greedy(mask)[0]
-            else:
-                cols = [j for j in range(self.n) if mask >> j & 1]
-                cached = rank_int_rows(
-                    [[row[j] for j in cols] for row in self._subspace.rows]
-                ) if cols else 0
-            self._rank_cache[mask] = cached
-        return cached
+        if self._subspace is None:
+            return self._greedy(mask)[0]
+        cols = [j for j in range(self.n) if mask >> j & 1]
+        return rank_int_rows(
+            [[row[j] for j in cols] for row in self._subspace.rows]
+        ) if cols else 0
 
     def closure_mask(self, mask: int) -> int:
         """Mask of the largest superset of `mask` with the same rank.
 
         A realized matroid reads it off its integer rows taken modulo the
         columns of `mask` (linalg._modulo): a column is zero afterwards
-        exactly when it lies in the closure; the rank of `mask` comes out
-        on the way and is cached.
+        exactly when it lies in the closure.
         An explicit matroid adds each element that no basis holding the
         greedy independent subset of `mask` holds.
         """
-        cached = self._closure_cache.get(mask)
-        if cached is None:
-            if self._subspace is None:
-                rk, live = self._greedy(mask)
-                self._rank_cache[mask] = rk
-                # The bits are distinct, so their sum is their union.
-                cached = mask | sum(1 << j for j, held in enumerate(self._holders)
-                                    if not live & held)
-            else:
-                rows, cached = _modulo(self._subspace.rows, mask, self.n)
-                self._rank_cache[mask] = self._subspace.dim - len(rows)
-            self._closure_cache[mask] = cached
-        return cached
+        if self._subspace is None:
+            live = self._greedy(mask)[1]
+            # The bits are distinct, so their sum is their union.
+            return mask | sum(1 << j for j, held in enumerate(self._holders)
+                              if not live & held)
+        return _modulo(self._subspace.rows, mask, self.n)[1]
 
     def rank(self, S: Iterable[int]) -> int:
         return self.rank_mask(self.mask(S))
@@ -283,62 +252,6 @@ def uniform_matroid(n: int, r: int) -> Matroid:
         return Matroid.from_subspace(Subspace.zero(n))
     grid = [[Fraction(j ** i) for j in range(1, n + 1)] for i in range(r)]
     return Matroid.from_matrix(QMatrix.from_rows(grid, cols=n))
-
-
-# -- minors ----------------------------------------------------------------
-
-
-def _explicit_minor(keep: Sequence[int], traces: Iterable[int]) -> Matroid:
-    """Explicit matroid on the sorted elements `keep`, relabeled 1..|keep| in
-    order, whose bases are the masks in `traces`."""
-    relabel = {old: new for new, old in enumerate(keep, start=1)}
-    return Matroid.from_bases(len(keep), [
-        [relabel[e] for e in _elements_of(t)] for t in traces
-    ])
-
-
-def restrict(M: Matroid, F: Iterable[int]) -> tuple[Matroid, tuple[int, ...]]:
-    """Restriction M|F on the relabeled ground set {1..|F|}.
-
-    rank_{M|F}(S) = rank_M(S); returns (minor, surviving ambient labels).
-    An explicit minor's bases are the distinct traces B & F of size r(F).
-    """
-    if M.is_realized:
-        sub, labels = restrict_subspace(M.subspace, F)
-        return Matroid.from_subspace(sub), labels
-    keep = sorted(M._subset(F))
-    labels = tuple(keep)
-    mask = _mask_of(keep)
-    rk = M.rank_mask(mask)
-    traces = {b & mask for b in M._basis_masks if (b & mask).bit_count() == rk}
-    return _explicit_minor(keep, traces), labels
-
-
-def contract_set(M: Matroid, I: Iterable[int]) -> tuple[Matroid, tuple[int, ...]]:
-    """Contraction M/I on the relabeled ground set {1..n-|I|}.
-
-    rank_{M/I}(S) = rank_M(S + I) - rank_M(I).  An explicit minor's bases
-    are the distinct sets B - I over the bases B with |B & I| = r(I).
-    """
-    if M.is_realized:
-        sub, labels = contract_subspace(M.subspace, I)
-        return Matroid.from_subspace(sub), labels
-    drop = M._subset(I)
-    keep = [e for e in M.ground if e not in drop]
-    labels = tuple(keep)
-    mask = _mask_of(drop)
-    rk = M.rank_mask(mask)
-    traces = {b & ~mask for b in M._basis_masks if (b & mask).bit_count() == rk}
-    return _explicit_minor(keep, traces), labels
-
-
-def delete(M: Matroid, e: int) -> tuple[Matroid, tuple[int, ...]]:
-    fs = M._subset({e})
-    return restrict(M, set(M.ground) - fs)
-
-
-def contract(M: Matroid, e: int) -> tuple[Matroid, tuple[int, ...]]:
-    return contract_set(M, {e})
 
 
 # -- lattice of flats --------------------------------------------------------
@@ -525,9 +438,14 @@ def is_partition_matroid(M: Matroid) -> bool:
 
 
 def matroid_from_json_dict(data: dict) -> Matroid:
-    """Accepts {"matrix": {...}}, a bare matrix object, or explicit bases."""
+    """Accepts {"matrix": {...}}, a bare matrix object, or explicit bases,
+    and refuses an object that holds more than one of them."""
     if not isinstance(data, dict):
         raise ValueError("matroid JSON must be an object")
+    forms = [key for key in ("matrix", "bases", "entries") if key in data]
+    if len(forms) > 1:
+        raise ValueError(f"matroid JSON holds {' and '.join(map(repr, forms))}; "
+                         "give one of 'matrix', 'bases' or matrix fields")
     if "matrix" in data:
         return Matroid.from_matrix(QMatrix.from_json_dict(data["matrix"]))
     if "bases" in data:
@@ -552,8 +470,8 @@ def check_bases(M: Matroid) -> None:
     each x in B1 - B2, some y in B2 - B1 makes B1 - x + y a basis.
 
     Quadratic in the number of bases (tens of milliseconds for the 210 of
-    U(4,10)), so the CLI runs it once per input; matroid_from_json_dict and
-    the minors do not.
+    U(4,10)), so the CLI runs it once per input; matroid_from_json_dict does
+    not.
     """
     masks = M._basis_masks
     family = set(masks)

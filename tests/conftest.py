@@ -217,6 +217,17 @@ def permuted(M: Matroid, order: list[int]) -> Matroid:
     return Matroid.from_bases(M.n, [[name[e] for e in b] for b in M.bases()])
 
 
+def explicit_minor_by_combinations(M: Matroid, keep, I) -> Matroid:
+    """Bases of M|(keep + I)/I: the r-subsets S of keep with r(S + I) = r + r(I)."""
+    relabel = {old: new for new, old in enumerate(sorted(keep), start=1)}
+    rk_I = M.rank(I)
+    r = M.rank(set(keep) | set(I)) - rk_I
+    return Matroid.from_bases(len(keep), [
+        {relabel[e] for e in S} for S in combinations(sorted(keep), r)
+        if M.rank(set(S) | set(I)) == r + rk_I
+    ])
+
+
 @lru_cache(maxsize=None)
 def corpus() -> tuple[Matroid, ...]:
     rng = random.Random(20260809)

@@ -34,14 +34,14 @@ EXPORTED = [
     "RmldOneReport", "SolveReport", "SolverLimits", "StratificationReport",
     "Subspace", "UniPoly", "buchberger", "build_score_system", "char_poly",
     "char_poly_flats", "classify_rmld_one", "compute_invariants",
-    "connected_components", "contract", "contract_set", "contract_subspace",
-    "count_torus_solutions", "delete", "flats", "format_rational", "invariants",
-    "is_partition_matroid", "kernel", "linalg", "matroid_from_json_dict",
-    "matroids", "ml_degree_report", "mld", "mldegree", "mobius_invariant",
-    "oracle_score_count", "parse_rational", "poincare_poly", "random_generic_s",
-    "rank", "ratpoly", "restrict", "restrict_subspace", "rmld", "rref",
+    "connected_components", "count_torus_solutions", "flats",
+    "format_rational", "invariants", "is_partition_matroid", "linalg",
+    "matroid_from_json_dict", "matroids", "ml_degree_report", "mld",
+    "mldegree", "mobius_invariant", "oracle_score_count", "parse_rational",
+    "poincare_poly", "random_generic_s", "rank", "ratpoly", "rmld", "rref",
     "score_count", "score_count_dc", "solver", "tutte", "tutte_bruteforce",
-    "uniform_matroid", "uniform_rmld", "uniform_tutte", "verify_stratification",
+    "uniform_matroid", "uniform_rmld", "uniform_tutte",
+    "verify_stratification",
 ]
 
 

@@ -4,11 +4,13 @@ import random
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import mldeg
+import mldeg.cli
 
 from mldeg import uniform_rmld
 from mldeg.cli import (
@@ -16,6 +18,7 @@ from mldeg.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
+    MAX_RANDOM_MINORS,
     main,
     random_uniform_matrix,
 )
@@ -157,6 +160,15 @@ class TestScoreCountAndRmld:
         assert code == EXIT_USAGE and out == ""
         assert "error: bad input" in err and named in err
 
+    def test_bases_and_matrix_together_are_a_usage_error(self, tmp_path, capsys):
+        # Either form alone is valid; the matrix used to win silently.
+        path = write_json(tmp_path, "m.json", {
+            "n": 2, "bases": [[1, 2]],
+            "matrix": {"rows": 1, "cols": 1, "entries": [["1"]]}})
+        code, out, err = run(capsys, "rmld", "--input", path)
+        assert code == EXIT_USAGE and out == ""
+        assert "error: bad input" in err and "'matrix' and 'bases'" in err
+
 
 class TestVerify:
     def test_all_pass_on_u23(self, tmp_path, capsys):
@@ -285,6 +297,21 @@ class TestRandom:
         data = json.loads(out)
         assert code == EXIT_OK
         assert all(entry != "0" for entry in data["entries"][0])
+
+    def test_too_many_minors_is_a_capacity_error(self, capsys):
+        # C(40, 20) minors would take months to check; the refusal is at once.
+        assert comb(20, 10) <= MAX_RANDOM_MINORS < comb(40, 20)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "random", "--n", "40", "--r", "20", "--seed", "0")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CAPACITY and out == ""
+        assert "capacity error" in err and str(comb(40, 20)) in err
+
+    def test_cap_is_on_the_number_of_minors(self, capsys, monkeypatch):
+        monkeypatch.setattr(mldeg.cli, "MAX_RANDOM_MINORS", comb(6, 3))
+        assert run(capsys, "random", "--n", "6", "--r", "3", "--seed", "1")[0] == EXIT_OK
+        assert run(capsys, "random", "--n", "7", "--r", "3", "--seed", "1")[0] == EXIT_CAPACITY
+        assert run(capsys, "random", "--n", "7", "--r", "6", "--seed", "1")[0] == EXIT_OK
 
     def test_round_trip_matches_uniform_rmld(self, tmp_path, capsys):
         rng = random.Random(123)

@@ -6,15 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mldeg import (
-    QMatrix,
-    Subspace,
-    contract_subspace,
-    kernel,
-    rank,
-    restrict_subspace,
-    rref,
-)
+from mldeg import QMatrix, Subspace, rank, rref
 from mldeg.linalg import _echelon, _integer_rows, rank_int_rows
 
 from conftest import any_matrices, mixed_copy
@@ -34,12 +26,6 @@ def matrices(draw, max_rows=4, max_cols=5):
     grid = draw(st.lists(st.lists(entries, min_size=c, max_size=c),
                          min_size=r, max_size=r))
     return mat(grid, cols=c)
-
-
-def columns(A: QMatrix, indices) -> QMatrix:
-    """The submatrix of the given 0-based columns of A, in the given order."""
-    grid = tuple(tuple(row[j] for j in indices) for row in A.entries)
-    return QMatrix(A.rows, len(indices), grid)
 
 
 def _bareiss_echelon(rows, reduced=False):
@@ -151,7 +137,6 @@ class TestIntegerRows:
         assert Subspace.from_matrix(QMatrix(0, 3, ())) == Subspace.zero(3)
         assert Subspace.from_matrix(mat([[], []], cols=0)) == Subspace.zero(0)
         assert Subspace.zero(0).basis == QMatrix(0, 0, ())
-        assert Subspace.full(2).rows == ((1, 0), (0, 1))
 
     @given(any_matrices())
     def test_basis_and_rref_match_reference(self, A):
@@ -165,37 +150,6 @@ class TestIntegerRows:
         B = mixed_copy(A, random.Random(seed))
         assert Subspace.from_matrix(B).rows == Subspace.from_matrix(A).rows
         assert Subspace.from_matrix(B) == Subspace.from_matrix(A)
-
-    @given(any_matrices(), st.data())
-    def test_restrict_matches_projected_matrix(self, A, data):
-        n = A.cols
-        F = data.draw(st.sets(st.integers(1, n), max_size=n) if n else st.just(set()))
-        L = Subspace.from_matrix(A)
-        R, labels = restrict_subspace(L, F)
-        assert labels == tuple(sorted(F))
-        projected = Subspace.from_matrix(columns(A, [i - 1 for i in labels]))
-        assert R == projected
-        assert_canonical_rows(R)
-
-    @given(any_matrices(), st.data())
-    def test_contract_rows_are_canonical(self, A, data):
-        n = A.cols
-        I = data.draw(st.sets(st.integers(1, n), max_size=n) if n else st.just(set()))
-        C, _ = contract_subspace(Subspace.from_matrix(A), I)
-        assert_canonical_rows(C)
-        assert C.basis == reference_rref(C.basis)
-
-    @given(any_matrices())
-    def test_kernel_matches_reference(self, A):
-        L = Subspace.from_matrix(A)
-        K = kernel(L)
-        assert_canonical_rows(K)
-        assert K.dim == L.ambient_n - L.dim
-        assert K.basis == reference_rref(K.basis)
-        for row in L.rows:
-            for krow in K.rows:
-                assert sum(a * b for a, b in zip(row, krow)) == 0
-
 
 class TestRref:
     def test_diagonal_scaling(self):
@@ -268,83 +222,6 @@ class TestRank:
     @given(matrices())
     def test_matches_naive_elimination(self, A):
         assert rank(A) == naive_rank(A)
-
-
-class TestKernel:
-    def test_line_in_plane(self):
-        L = Subspace.from_matrix(mat([[1, 1]]))
-        assert kernel(L).basis == mat([[1, -1]])
-
-    def test_full_space(self):
-        L = Subspace.full(3)
-        assert kernel(L).dim == 0
-
-    @given(matrices())
-    def test_involution_and_dimensions(self, A):
-        L = Subspace.from_matrix(A)
-        K = kernel(L)
-        assert L.dim + K.dim == L.ambient_n
-        assert kernel(K) == L
-        for row in L.basis.entries:
-            for krow in K.basis.entries:
-                assert sum(a * b for a, b in zip(row, krow)) == 0
-
-
-class TestRestrictContract:
-    def test_restrict_drops_coordinate(self):
-        L = Subspace.from_matrix(mat([[1, 2, 3]]))
-        R, labels = restrict_subspace(L, [1, 3])
-        assert labels == (1, 3)
-        assert R.basis == mat([[1, 3]])
-
-    def test_restrict_full_is_identity(self):
-        L = Subspace.from_matrix(mat([[1, 0, 2], [0, 1, 5]]))
-        R, labels = restrict_subspace(L, [1, 2, 3])
-        assert R == L and labels == (1, 2, 3)
-
-    def test_restrict_of_full_plane(self):
-        L = Subspace.full(2)
-        R, _ = restrict_subspace(L, [1])
-        assert R == Subspace.full(1)
-
-    def test_contract_solves_vanishing(self):
-        L = Subspace.from_matrix(mat([[1, 1, 0], [0, 1, 1]]))
-        C, labels = contract_subspace(L, [1])
-        assert labels == (2, 3)
-        assert C.basis == mat([[1, 1]])
-
-    def test_contract_empty_set(self):
-        L = Subspace.from_matrix(mat([[1, 1]]))
-        C, labels = contract_subspace(L, [])
-        assert C == L and labels == (1, 2)
-
-    def test_contract_to_zero(self):
-        L = Subspace.from_matrix(mat([[1, 1]]))
-        C, labels = contract_subspace(L, [1])
-        assert C.dim == 0 and C.ambient_n == 1 and labels == (2,)
-
-    def test_restrict_to_nothing(self):
-        L = Subspace.from_matrix(mat([[1, 1]]))
-        R, labels = restrict_subspace(L, [])
-        assert R.ambient_n == 0 and R.dim == 0 and labels == ()
-
-    def test_bad_indices(self):
-        L = Subspace.from_matrix(mat([[1, 1]]))
-        with pytest.raises(ValueError):
-            restrict_subspace(L, [0])
-        with pytest.raises(ValueError):
-            contract_subspace(L, [3])
-
-    @given(matrices(max_rows=3, max_cols=5), st.data())
-    def test_contract_dimension_formula(self, A, data):
-        # dim L_{/I} = dim L - rank of the dropped-column block of the basis
-        L = Subspace.from_matrix(A)
-        n = L.ambient_n
-        I = data.draw(st.sets(st.integers(1, n), max_size=n))
-        C, labels = contract_subspace(L, I)
-        assert set(labels) == set(range(1, n + 1)) - set(I)
-        block = columns(L.basis, [i - 1 for i in sorted(I)])
-        assert C.dim == L.dim - rank(block)
 
 
 class TestJson:

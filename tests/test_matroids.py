@@ -1,6 +1,5 @@
 import random
 import re
-from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
@@ -10,20 +9,12 @@ import mldeg.matroids
 from mldeg import (
     Matroid,
     QMatrix,
-    Subspace,
     UniPoly,
     char_poly,
     connected_components,
-    contract,
-    contract_set,
-    contract_subspace,
-    delete,
     flats,
     is_partition_matroid,
-    kernel,
     matroid_from_json_dict,
-    restrict,
-    restrict_subspace,
     score_count,
     score_count_dc,
     uniform_matroid,
@@ -31,8 +22,9 @@ from mldeg import (
 from mldeg.invariants import flat_terms
 from mldeg.matroids import _flat_walk, _mobius_sums, check_bases
 from conftest import (
-    _explicit_copy, any_matrices, corpus, corpus_upto, family_matroid, k4_matroid,
-    mixed_copy, planted_matrices, random_matrix, reference_flat_terms, reference_flats,
+    _explicit_copy, any_matrices, corpus, corpus_upto, explicit_minor_by_combinations,
+    family_matroid, k4_matroid, mixed_copy, planted_matrices, random_matrix,
+    reference_flat_terms, reference_flats,
 )
 
 
@@ -89,39 +81,6 @@ def mobius_all_pairs(lattice) -> dict:
                     mobius[(i, k)] for k in range(i, j) if leq[i][k] and leq[k][j]
                 )
     return mobius
-
-
-def contract_subspace_by_kernel(L: Subspace, I) -> Subspace:
-    """Vectors c . B of L with c in the kernel of the I columns of B."""
-    drop = sorted(set(I))
-    keep0 = [i - 1 for i in range(1, L.ambient_n + 1) if i not in drop]
-    if not drop:
-        return L
-    if L.dim == 0:
-        return Subspace.zero(len(keep0))
-    # The transpose of the I columns of the basis: one row per dropped column.
-    constraint = QMatrix.from_rows(
-        [[row[i - 1] for row in L.basis.entries] for i in drop], cols=L.dim)
-    coeffs = kernel(Subspace.from_matrix(constraint))
-    vectors = [
-        [sum((c[k] * L.basis.entries[k][j] for k in range(L.dim)), Fraction(0))
-         for j in keep0]
-        for c in coeffs.basis.entries
-    ]
-    if not vectors:
-        return Subspace.zero(len(keep0))
-    return Subspace.from_matrix(QMatrix.from_rows(vectors, cols=len(keep0)))
-
-
-def explicit_minor_by_combinations(M: Matroid, keep, I) -> Matroid:
-    """Bases of M|(keep + I)/I: the r-subsets S of keep with r(S + I) = r + r(I)."""
-    relabel = {old: new for new, old in enumerate(sorted(keep), start=1)}
-    rk_I = M.rank(I)
-    r = M.rank(set(keep) | set(I)) - rk_I
-    return Matroid.from_bases(len(keep), [
-        {relabel[e] for e in S} for S in combinations(sorted(keep), r)
-        if M.rank(set(S) | set(I)) == r + rk_I
-    ])
 
 
 class TestConstruction:
@@ -202,20 +161,13 @@ class TestClosure:
             assert M.closure(once) == once
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 7), r=st.integers(0, 4))
-    def test_realized_closures_and_cached_ranks_match_bases(self, seed, n, r):
-        # A realized closure pivots the rows and caches ranks on the way; the
-        # explicit copy answers every mask from its bases.
+    def test_realized_closures_match_bases(self, seed, n, r):
+        # A realized closure pivots the rows; the explicit copy answers
+        # every mask from its bases.
         M = Matroid.from_matrix(random_matrix(random.Random(seed), n, min(n, r)))
         E = _explicit_copy(M)
         for mask in range(1 << n):
             assert M.closure_mask(mask) == E.closure_mask(mask)
-        for mask, rk in M._rank_cache.items():
-            assert rk == E.rank_mask(mask)
-
-    def test_realized_closure_caches_one_rank(self):
-        M = Matroid.from_matrix(mat([[1, 2, 0, 1], [0, 0, 1, 1]]))
-        assert M.closure_mask(0b0001) == 0b0011
-        assert M._rank_cache == {0b0001: 1}
 
 
 def max_meet(bases: tuple[int, ...], mask: int) -> int:
@@ -248,13 +200,14 @@ class TestBitsetOracle:
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), r=st.integers(1, 4),
            pick=st.integers(0, 2 ** 8 - 1))
     def test_explicit_minors_count_like_realized_minors(self, seed, n, r, pick):
+        # M|S and M/S, built from the realized ranks of M and from the
+        # greedy ranks of its explicit copy.
         M = Matroid.from_matrix(random_matrix(random.Random(seed), n, min(n, r)))
         E = _explicit_copy(M)
         S = {e for e in M.ground if pick >> (e - 1) & 1}
-        for minor in (restrict, contract_set):
-            realized, labels = minor(M, S)
-            explicit, explicit_labels = minor(E, S)
-            assert explicit_labels == labels
+        for keep, I in ((S, set()), (set(M.ground) - S, S)):
+            realized = explicit_minor_by_combinations(M, keep, I)
+            explicit = explicit_minor_by_combinations(E, keep, I)
             assert explicit.bases() == realized.bases()
             for d in (1, 2, 3):
                 assert score_count_dc(explicit, d) == score_count(realized, d)
@@ -264,9 +217,7 @@ class TestBitsetOracle:
         assert E._holders is None
         # Edges 1, 2 and 4 of K4 form a triangle.
         assert E.closure_mask(0b1011) == 0b1011
-        assert len(E._holders) == 6 and E._rank_cache == {0b1011: 2}
-        minors = [contract_set(E, {1})[0], restrict(E, range(2, 7))[0]]
-        assert all(N._holders is None for N in minors)
+        assert len(E._holders) == 6
 
 
 def check_against_enumeration(M: Matroid) -> None:
@@ -309,7 +260,6 @@ class TestRankWalk:
             for N, reference in zip(copies, expected):
                 assert flats(N) == reference
                 flat_terms(N)
-                assert N._rank_cache == {} and N._closure_cache == {}
 
     @given(planted_matrices())
     def test_mu_pass_is_the_mu_column(self, A):
@@ -403,153 +353,16 @@ class TestFlats:
         assert data["mobius_from_bottom"] == [1, -1, -1, -1, 2]
 
 
-class TestMinors:
-    def test_contract_u23_gives_parallel_pair(self):
-        minor, labels = contract(uniform_matroid(3, 2), 1)
-        assert labels == (2, 3)
-        assert minor.full_rank() == 1
-        assert minor.rank([1, 2]) == 1
-
-    def test_delete_u23_gives_boolean(self):
-        minor, labels = delete(uniform_matroid(3, 2), 1)
-        assert labels == (2, 3)
-        assert minor.full_rank() == 2
-        assert minor.rank([1]) == minor.rank([2]) == 1
-
-    def test_restrict_full_is_identity(self):
-        M = k4_matroid()
-        minor, labels = restrict(M, M.ground)
-        assert labels == M.ground
-        for S in powerset(M.ground):
-            assert minor.rank(S) == M.rank(S)
-
-    def test_minor_rank_formulas(self):
-        rng = random.Random(3)
-        for M in corpus_upto(6)[:40]:
-            ground = list(M.ground)
-            I = {e for e in ground if rng.random() < 0.3}
-            keep = [e for e in ground if e not in I]
-            minor, labels = contract_set(M, I)
-            assert labels == tuple(keep)
-            back = {new: old for new, old in enumerate(labels, start=1)}
-            for S in powerset(range(1, len(keep) + 1)):
-                expected = M.rank({back[x] for x in S} | I) - M.rank(I)
-                assert minor.rank(S) == expected
-
-    def test_subspace_matroid_compatibility(self):
-        # the matroid of a projected subspace is the restriction, and the
-        # matroid of the vanishing-slice subspace is the contraction
-        rng = random.Random(11)
-        for _ in range(15):
-            n = rng.randint(2, 6)
-            r = rng.randint(1, min(3, n))
-            L = Subspace.from_matrix(random_matrix(rng, n, r))
-            M = Matroid.from_subspace(L)
-            F = sorted({e for e in range(1, n + 1) if rng.random() < 0.5})
-            sub_r, _ = restrict_subspace(L, F)
-            mat_r, _ = restrict(M, F)
-            assert Matroid.from_subspace(sub_r).bases() == mat_r.bases()
-            sub_c, _ = contract_subspace(L, F)
-            mat_c, _ = contract_set(M, F)
-            assert Matroid.from_subspace(sub_c).bases() == mat_c.bases()
-            # dimension pairing with the rank oracle
-            assert sub_r.dim == M.rank(F)
-            assert sub_c.dim == L.dim - M.rank(F)
-
-    def test_explicit_and_realized_minors_agree(self):
-        M = uniform_matroid(5, 3)
-        E = Matroid.from_bases(M.n, M.bases())
-        m1, _ = contract_set(M, {2, 4})
-        m2, _ = contract_set(E, {2, 4})
-        assert m1.bases() == m2.bases()
-        r1, _ = restrict(M, {1, 3, 5})
-        r2, _ = restrict(E, {1, 3, 5})
-        assert r1.bases() == r2.bases()
-
-
-class TestMinorReferences:
-    """Every minor equals, as a labeled matroid, the one the earlier
-    constructions built, so memo keys built from cache_key() still hit."""
-
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9), r=st.integers(1, 4))
-    def test_contract_subspace_matches_kernel_route(self, seed, n, r):
-        rng = random.Random(seed)
-        L = Subspace.from_matrix(random_matrix(rng, n, min(n, r)))
-        for _ in range(6):
-            I = {e for e in range(1, n + 1) if rng.random() < 0.4}
-            fast, _ = contract_subspace(L, I)
-            reference = contract_subspace_by_kernel(L, I)
-            assert fast == reference
-            assert (Matroid.from_subspace(fast).cache_key()
-                    == Matroid.from_subspace(reference).cache_key())
-
-    def test_prefix_contraction_reads_the_stored_rref(self):
-        L = Subspace.from_matrix(random_matrix(random.Random(5), 7, 3))
-        for k in range(8):
-            fast, labels = contract_subspace(L, range(1, k + 1))
-            assert labels == tuple(range(k + 1, 8))
-            assert fast == contract_subspace_by_kernel(L, range(1, k + 1))
-
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), r=st.integers(1, 4))
-    def test_explicit_minors_match_combinations(self, seed, n, r):
-        rng = random.Random(seed)
-        M = _explicit_copy(Matroid.from_matrix(random_matrix(rng, n, min(n, r))))
-        for _ in range(4):
-            F = {e for e in M.ground if rng.random() < 0.6}
-            I = {e for e in M.ground if rng.random() < 0.3}
-            minor, _ = restrict(M, F)
-            assert minor.cache_key() == explicit_minor_by_combinations(M, F, set()).cache_key()
-            minor, _ = contract_set(M, I)
-            keep = set(M.ground) - I
-            assert minor.cache_key() == explicit_minor_by_combinations(M, keep, I).cache_key()
-
-    def test_explicit_corpus_minors_match_combinations(self):
-        rng = random.Random(17)
-        for M in corpus_upto(8):
-            if M.is_realized:
-                continue
-            for _ in range(5):
-                F = {e for e in M.ground if rng.random() < 0.6}
-                minor, _ = restrict(M, F)
-                assert minor.cache_key() == explicit_minor_by_combinations(M, F, set()).cache_key()
-                minor, _ = contract_set(M, F)
-                keep = set(M.ground) - F
-                assert minor.cache_key() == explicit_minor_by_combinations(M, keep, F).cache_key()
-
-
 class TestIntegerRowMinors:
-    """Minors built on the integer rows a Subspace stores, against the
-    routes through a full elimination or the kernel, on integer and
-    Fraction input with zero rows, rank deficiency, n = 0 and r = 0."""
+    """The integer rows a Subspace stores, on integer and Fraction input
+    with zero rows, rank deficiency, n = 0 and r = 0: the key they give a
+    matroid, and the deletion-contraction count on their minors."""
 
     @given(any_matrices(), st.integers(0, 2 ** 32 - 1))
     def test_cache_key_ignores_the_spanning_matrix(self, A, seed):
         M = Matroid.from_matrix(A)
         N = Matroid.from_matrix(mixed_copy(A, random.Random(seed)))
         assert M.cache_key() == N.cache_key() == ("rref", A.cols, M.subspace.rows)
-
-    @given(any_matrices(), st.data())
-    def test_restrict_equals_projected_matrix(self, A, data):
-        n = A.cols
-        F = data.draw(st.sets(st.integers(1, n), max_size=n) if n else st.just(set()))
-        L = Subspace.from_matrix(A)
-        projected = Subspace.from_matrix(QMatrix.from_rows(
-            [[row[i - 1] for i in sorted(F)] for row in A.entries], cols=len(F)))
-        sub, labels = restrict_subspace(L, F)
-        minor, minor_labels = restrict(Matroid.from_subspace(L), F)
-        assert sub == projected and minor.subspace == projected
-        assert labels == minor_labels == tuple(sorted(F))
-
-    @given(any_matrices(), st.data())
-    def test_contract_equals_kernel_route(self, A, data):
-        n = A.cols
-        I = data.draw(st.sets(st.integers(1, n), max_size=n) if n else st.just(set()))
-        L = Subspace.from_matrix(A)
-        reference = contract_subspace_by_kernel(L, I)
-        sub, labels = contract_subspace(L, I)
-        minor, minor_labels = contract_set(Matroid.from_subspace(L), I)
-        assert sub == reference and minor.subspace == reference
-        assert labels == minor_labels == tuple(e for e in range(1, n + 1) if e not in I)
 
     @given(any_matrices(max_rows=4, max_cols=7))
     def test_score_count_dc_matches_chi(self, A):
@@ -560,11 +373,11 @@ class TestIntegerRowMinors:
 
     def test_bad_subset_rejected(self):
         M = Matroid.from_matrix(mat([[1, 2, 3]]))
-        for minor in (restrict, contract_set):
-            with pytest.raises(ValueError):
-                minor(M, [4])
-            with pytest.raises(ValueError):
-                minor(_explicit_copy(M), [0])
+        for N in (M, _explicit_copy(M)):
+            for query in (N.mask, N.rank, N.closure):
+                for bad in ([4], [0, 1]):
+                    with pytest.raises(ValueError, match="not inside 1..3"):
+                        query(bad)
 
 
 class TestLoopsColoops:
@@ -626,6 +439,17 @@ class TestJson:
         M = matroid_from_json_dict({"n": 3, "bases": [[1, 2], [1, 3], [2, 3]]})
         assert not M.is_realized
         assert M.full_rank() == 2
+
+    @pytest.mark.parametrize("payload", [
+        {"n": 2, "bases": [[1, 2]], "matrix": {"rows": 1, "cols": 1, "entries": [["1"]]}},
+        {"n": 2, "bases": [[1, 2]], "rows": 1, "cols": 1, "entries": [["1"]]},
+        {"matrix": {"rows": 1, "cols": 1, "entries": [["1"]]},
+         "rows": 1, "cols": 2, "entries": [["1", "2"]]},
+    ])
+    def test_more_than_one_form_rejected(self, payload):
+        # Each form alone is a valid input; together they are ambiguous.
+        with pytest.raises(ValueError, match="give one of"):
+            matroid_from_json_dict(payload)
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):

@@ -30,16 +30,15 @@ from mldeg import (
     verify_stratification,
 )
 from mldeg.invariants import flat_terms
-from mldeg.matroids import contract_set, restrict
 from mldeg.mldegree import (
     FlatContribution, StratificationReport, _count_from_chi, _dc_poly,
 )
 from mldeg.ratpoly import UniPoly
 
 from conftest import (
-    _explicit_copy, corpus, corpus_upto, family_chi, family_matroid, family_roots,
-    k4_matroid, permuted, planted_matrices, reference_flat_terms, reference_flats,
-    vamos_matroid,
+    _explicit_copy, corpus, corpus_upto, explicit_minor_by_combinations, family_chi,
+    family_matroid, family_roots, k4_matroid, permuted, planted_matrices,
+    reference_flat_terms, reference_flats, vamos_matroid,
 )
 
 
@@ -132,9 +131,9 @@ class TestScoreCountDc:
 
 
 def reference_score_count_dc(M: Matroid, d: int) -> int:
-    """The deletion-contraction count on minors built as Matroids by
-    `restrict` and `contract_set`, one count per d, memoized on the same
-    data as the production route: the rref rows or the basis masks."""
+    """The deletion-contraction count on minors built as explicit Matroids
+    by `explicit_minor_by_combinations`, one count per d, memoized on the
+    rref rows of a realized input and on the basis masks of a minor."""
     memo: dict = {}
 
     def count(N: Matroid) -> int:
@@ -146,8 +145,9 @@ def reference_score_count_dc(M: Matroid, d: int) -> int:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        contracted, _ = contract_set(N, {1})
-        deleted, _ = restrict(N, range(2, N.n + 1))
+        rest = range(2, N.n + 1)
+        contracted = explicit_minor_by_combinations(N, rest, {1})
+        deleted = explicit_minor_by_combinations(N, rest, set())
         if deleted.full_rank() < N.full_rank():  # 1 is a coloop
             value = (d - 1) * count(contracted)
         else:
