@@ -13,16 +13,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import combinations
 from math import comb
 
-from .invariants import compute_invariants, mobius_invariant
-from .linalg import QMatrix
+from .invariants import (
+    _char_poly_from_tutte,
+    _dc_same_root,
+    compute_invariants,
+    mobius_invariant,
+    tutte,
+)
+from .linalg import QMatrix, _eliminate, _lead, _primitive
 from .matroids import Matroid, check_bases, matroid_from_json_dict, uniform_matroid
 from .mldegree import (
     CapacityError,
     CertificationError,
     OracleCaps,
+    _count_from_chi,
     ml_degree_report,
     mld,
     rmld,
@@ -173,6 +179,11 @@ def _verify_checks(M: Matroid, ds: list[int], seed: int) -> list[dict]:
             entry["d"] = d
         checks.append(entry)
 
+    # Where the rotation n, 1, ..., n - 1 maps the root minor of D onto
+    # itself, chi and score_count_dc run one recursion tree; there the
+    # count is checked against chi read off the Tutte polynomial instead.
+    same_root = _dc_same_root(M)
+    tutte_chi = None
     value_rmld = rmld(M)
     add("rmld-oddness",
         "pass" if (value_rmld == 0 or value_rmld % 2 == 1) else "fail",
@@ -188,9 +199,14 @@ def _verify_checks(M: Matroid, ds: list[int], seed: int) -> list[dict]:
             raise UsageError("--d must be nonnegative")
         if d >= 1:
             lhs = score_count(M, d)
-            rhs = score_count_dc(M, d)
+            if same_root:
+                if tutte_chi is None:
+                    tutte_chi = _char_poly_from_tutte(tutte(M), M.full_rank())
+                route, rhs = "Tutte", _count_from_chi(tutte_chi, M.full_rank(), d)
+            else:
+                route, rhs = "deletion-contraction", score_count_dc(M, d)
             add("method-agreement", "pass" if lhs == rhs else "fail",
-                f"formula {lhs} vs deletion-contraction {rhs}", d=d)
+                f"formula {lhs} vs {route} {rhs}", d=d)
         if d == 1 and M.n >= 1 and loopless:
             v = score_count(M, 1)
             add("vacuity", "pass" if v == 0 else "fail", f"score_count(1) = {v}", d=1)
@@ -304,9 +320,37 @@ def _cmd_random(args) -> int:
 
 
 # Most r x r minors that one draw of `random` may check: the C(20, 10) =
-# 184,756 of n = 20, r = 10 take about 20 s on a 2-core host, and the
+# 184,756 of n = 20, r = 10 take about 2 s on a 2-core host, and the
 # C(40, 20) of n = 40, r = 20 would take months.
 MAX_RANDOM_MINORS = 200_000
+
+
+def _every_r_independent(columns: list, r: int) -> bool:
+    """Whether every r of the integer vectors `columns` are linearly
+    independent.
+
+    A depth-first walk over increasing column choices: each prefix of
+    chosen columns carries the columns after it, taken modulo the chosen
+    ones by fraction-free pivot steps.  A column that is zero there fails
+    every r-set through that prefix, so the first one met, with enough
+    columns left after it to make up r, settles the answer.  With two
+    columns left to choose, that asks for nonzero columns no two of them
+    parallel: as many distinct primitive forms as columns.
+    """
+    def walk(rest: list, need: int) -> bool:
+        if need == 2:
+            return (all(map(any, rest))
+                    and len({tuple(_primitive(v)) for v in rest}) == len(rest))
+        for i in range(len(rest) - need + 1):
+            c = _lead(rest[i])
+            if c is None:
+                return False
+            if need > 1 and not walk(_eliminate(rest[i:], 0, c)[1:], need - 1):
+                return False
+        return True
+
+    # r = 0 leaves only the empty set to check, and r > n no set at all.
+    return not 0 < r <= len(columns) or walk(columns, r)
 
 
 def random_uniform_matrix(n: int, r: int, seed: int,
@@ -325,10 +369,8 @@ def random_uniform_matrix(n: int, r: int, seed: int,
     rng = random.Random(seed)
     for _ in range(max_attempts):
         grid = [[rng.randint(-100, 100) for _ in range(n)] for _ in range(r)]
-        A = QMatrix.from_rows(grid, cols=n)
-        M = Matroid.from_matrix(A)
-        if all(M.rank(cols) == r for cols in combinations(M.ground, r)):
-            return A
+        if _every_r_independent(list(zip(*grid)), r):
+            return QMatrix.from_rows(grid, cols=n)
     raise RuntimeError(
         f"failed to draw a uniform realization for (n={n}, r={r}) "
         f"in {max_attempts} attempts"

@@ -18,8 +18,13 @@ removes element 1:
 
 The recursions on that step:
 
-  _dc_rows, _dc_masks  D in d of a loopless minor: 0 on a loop, (d - 1)
-                 D(M/1) on a coloop, D(M\\1) + d D(M/1) otherwise;
+  _dc_rows, _dc_masks  D in d of a loopless minor of rank at least 2: 0 on
+                 a loop, (d - 1) D(M/1) on a coloop, D(M\\1) + d D(M/1)
+                 otherwise; a child M\\1 or M/1 of rank 1 or 2 is read
+                 off with no further recursion: d - 1 when it is loopless
+                 of rank 1 (chi = t - 1), and 1 - p d + (p - 1) d^2 when
+                 it is loopless of rank 2 with p points, its parallel
+                 classes (chi = t^2 - p t + (p - 1));
   tutte          y T(M\\1) on a loop, x T(M/1) on a coloop, T(M\\1) + T(M/1)
                  otherwise; a rank-1 minor of m non-loops and l loops is
                  (x + y + ... + y^(m-1)) y^l at once;
@@ -29,7 +34,8 @@ The recursions on that step:
                  method-agreement check of `verify` compares two recursion
                  trees; they coincide only where the rotation maps the
                  rows or masks of M onto themselves (U(r, n) as explicit
-                 bases, say).
+                 bases, say: _dc_same_root), and there `verify` compares
+                 with chi read off tutte instead.
 
 None of them makes a rank or closure query of the input.  Each memo table
 lives for one top-level call; only the final chi is kept, on the Matroid
@@ -108,42 +114,90 @@ def _dc_combine(deleted: tuple | None, contracted: tuple) -> tuple:
 
 
 def _dc_rows(rows: tuple, memo: dict) -> tuple:
-    """D in d of the loopless realized minor whose primitive rref rows, over
-    at least one column, are `rows`."""
+    """D in d of the loopless realized minor of rank at least 2 whose
+    primitive rref rows are `rows`."""
     value = memo.get(rows)
     if value is not None:
         return value
     deleted, contracted = _rows_minors(rows)
-    if len(rows[0]) == 1:
-        contracted_value = (1,)
-    elif contracted and all(map(any, zip(*contracted))):
-        contracted_value = _dc_rows(contracted, memo)
+    if all(map(any, zip(*contracted))):
+        contracted_value = _dc_rows_child(contracted, memo)
     else:
         contracted_value = ()
-    deleted_value = None if deleted is None else _dc_rows(deleted, memo)
+    deleted_value = None if deleted is None else _dc_rows_child(deleted, memo)
     value = _dc_combine(deleted_value, contracted_value)
     memo[rows] = value
     return value
 
 
+def _dc_rows_child(rows: tuple, memo: dict) -> tuple:
+    """D of a loopless child M\\1 or M/1 of _dc_rows: recursion from rank 3
+    on, read off below it.  A rank-2 child has a point for each of its
+    distinct primitive columns."""
+    if len(rows) > 2:
+        return _dc_rows(rows, memo)
+    if len(rows) == 1:
+        return -1, 1
+    points = len({tuple(_primitive(column)) for column in zip(*rows)})
+    return 1, -points, points - 1
+
+
 def _dc_masks(masks: frozenset, n: int, memo: dict) -> tuple:
-    """D in d of the loopless explicit minor on n >= 1 elements whose bases
-    have the bitmasks `masks`.  The loops of M/1 are the bits none of its
-    masks covers."""
+    """D in d of the loopless explicit minor of rank at least 2 on n
+    elements whose bases have the bitmasks `masks`.  The loops of M/1 are
+    the bits none of its masks covers."""
     value = memo.get(masks)
     if value is not None:
         return value
     deleted, contracted = _masks_minors(masks)
-    if n == 1:
-        contracted_value = (1,)
-    elif reduce(or_, contracted) == (1 << n - 1) - 1:
-        contracted_value = _dc_masks(contracted, n - 1, memo)
+    if reduce(or_, contracted) == (1 << n - 1) - 1:
+        contracted_value = _dc_masks_child(contracted, n - 1, memo)
     else:
         contracted_value = ()
-    deleted_value = _dc_masks(deleted, n - 1, memo) if deleted else None
+    deleted_value = _dc_masks_child(deleted, n - 1, memo) if deleted else None
     value = _dc_combine(deleted_value, contracted_value)
     memo[masks] = value
     return value
+
+
+def _dc_masks_child(masks: frozenset, n: int, memo: dict) -> tuple:
+    """D of a loopless child M\\1 or M/1 of _dc_masks, on n elements:
+    recursion from rank 3 on, read off below it.  In a rank-2 child the
+    point of an element e is e and the elements that share no basis with
+    it."""
+    rank = next(iter(masks)).bit_count()
+    if rank > 2:
+        return _dc_masks(masks, n, memo)
+    if rank == 1:
+        return -1, 1
+    points, rest = 0, (1 << n) - 1
+    while rest:
+        e = rest & -rest
+        rest &= reduce(or_, (b for b in masks if b & e)) ^ e
+        points += 1
+    return 1, -points, points - 1
+
+
+def _dc_root(M: Matroid, rotated: bool) -> tuple | frozenset:
+    """The root minor of D on the element order 1, ..., n, or n, 1, ...,
+    n - 1 when `rotated`: the primitive rref rows of a realized M or the
+    basis masks of an explicit one, with the elements renumbered."""
+    n = M.n
+    if M.is_realized:
+        rows = M.subspace.rows
+        if rotated:
+            # Column n goes first.  The last row with a nonzero entry there
+            # is the one whose pivot it replaces: one pivot step on it, moved
+            # to the top, gives the rref again.
+            rows = [row[-1:] + row[:-1] for row in rows]
+            p = max(i for i, row in enumerate(rows) if row[0])
+            rows = _eliminate(rows, p, 0)
+            rows = (tuple(_primitive(rows.pop(p))), *map(tuple, rows))
+        return rows
+    masks = M._basis_masks
+    if rotated:
+        masks = [b >> n - 1 | b << 1 & (1 << n) - 1 for b in masks]
+    return frozenset(masks)
 
 
 def _dc_coeffs(M: Matroid, rotated: bool) -> tuple:
@@ -157,21 +211,18 @@ def _dc_coeffs(M: Matroid, rotated: bool) -> tuple:
     if M.full_rank() == 1:
         # n parallel elements: d - 1, as for n = 1.
         return (-1, 1)
-    if M.is_realized:
-        rows = M.subspace.rows
-        if rotated:
-            # Column n goes first.  The last row with a nonzero entry there
-            # is the one whose pivot it replaces: one pivot step on it, moved
-            # to the top, gives the rref again.
-            rows = [row[-1:] + row[:-1] for row in rows]
-            p = max(i for i, row in enumerate(rows) if row[0])
-            rows = _eliminate(rows, p, 0)
-            rows = (tuple(_primitive(rows.pop(p))), *map(tuple, rows))
-        return _dc_rows(rows, {})
-    masks = M._basis_masks
-    if rotated:
-        masks = [b >> n - 1 | b << 1 & (1 << n) - 1 for b in masks]
-    return _dc_masks(frozenset(masks), n, {})
+    root = _dc_root(M, rotated)
+    return _dc_rows(root, {}) if M.is_realized else _dc_masks(root, n, {})
+
+
+def _dc_same_root(M: Matroid) -> bool:
+    """Whether chi and score_count_dc run D from one root minor: M is
+    loopless of rank at least 2 and the rotation n, 1, ..., n - 1 maps its
+    rows or basis masks onto themselves (U(r, n) as explicit bases, say).
+    The two then run one recursion tree."""
+    if M.loops() or M.full_rank() < 2:
+        return False
+    return _dc_root(M, rotated=True) == _dc_root(M, rotated=False)
 
 
 def char_poly(M: Matroid) -> UniPoly:

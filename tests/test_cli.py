@@ -4,24 +4,30 @@ import random
 import subprocess
 import sys
 import time
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import mldeg
 import mldeg.cli
 
-from mldeg import uniform_rmld
+from mldeg import Matroid, QMatrix, uniform_rmld
 from mldeg.cli import (
     EXIT_CAPACITY,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
     MAX_RANDOM_MINORS,
+    _every_r_independent,
+    _verify_checks,
     main,
     random_uniform_matrix,
 )
+
+from conftest import _explicit_copy, corpus, permuted
 
 
 def write_json(tmp_path, name, payload):
@@ -215,6 +221,34 @@ class TestVerify:
         assert all(c["status"] == "skip" for c in solver)
         assert solver[0]["detail"] == "subspace has dimension 0; every degree is 0"
 
+    def test_same_root_inputs_check_the_count_against_tutte(self, monkeypatch):
+        # chi runs D on the element order n, 1, ..., n - 1, score_count_dc on
+        # 1, ..., n.  Where the rotation maps the rows or basis masks onto
+        # themselves, the two run one recursion tree, so the method-agreement
+        # check reads chi off the Tutte polynomial instead: on exactly those
+        # inputs, 19 of the loopless corpus inputs of rank at least 2.
+        monkeypatch.setattr(mldeg.cli.OracleCaps, "from_env",
+                            classmethod(lambda cls: cls(max_n=0)))
+        called = []
+        route = mldeg.cli.tutte
+        monkeypatch.setattr(mldeg.cli, "tutte", lambda M: called.append(M) or route(M))
+        same = 0
+        for M in corpus():
+            N = Matroid.from_subspace(M.subspace) if M.is_realized else _explicit_copy(M)
+            rotated = permuted(N, [N.n, *range(1, N.n)])
+            data = [P.subspace.rows if P.is_realized else frozenset(P._basis_masks)
+                    for P in (rotated, N)]
+            coincide = N.is_loopless() and N.full_rank() >= 2 and data[0] == data[1]
+            called.clear()
+            checks = _verify_checks(N, [0, 1, 2, 3], 0)
+            assert called == ([N] if coincide else [])
+            agreement = [c for c in checks if c["name"] == "method-agreement"]
+            assert [c["status"] for c in agreement] == ["pass"] * 3
+            name = "Tutte" if coincide else "deletion-contraction"
+            assert all(f" vs {name} " in c["detail"] for c in agreement)
+            same += coincide
+        assert same == 19
+
     def test_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         import mldeg.cli as cli_module
         monkeypatch.setattr(cli_module, "rmld", lambda M: 4)  # even and wrong
@@ -312,6 +346,29 @@ class TestRandom:
         assert run(capsys, "random", "--n", "6", "--r", "3", "--seed", "1")[0] == EXIT_OK
         assert run(capsys, "random", "--n", "7", "--r", "3", "--seed", "1")[0] == EXIT_CAPACITY
         assert run(capsys, "random", "--n", "7", "--r", "6", "--seed", "1")[0] == EXIT_OK
+
+    @given(st.integers(1, 4), st.integers(0, 4), st.sampled_from([2, 20, 20]),
+           st.sampled_from([0, 0, 1, 2]), st.randoms(use_true_random=False))
+    def test_walk_matches_the_all_subsets_rank_check(self, r, extra, bound, planted, rng):
+        # Entries up to 2 make chance dependencies common, entries up to 20
+        # rare; on top of them a zero column, or a column that combines at
+        # most r - 1 others, makes a dependent set that some r-set contains.
+        n = r + extra
+        columns = [[rng.randint(-bound, bound) for _ in range(r)] for _ in range(n)]
+        for _ in range(planted):
+            j = rng.randrange(n)
+            others = rng.sample([i for i in range(n) if i != j], rng.randint(0, min(r, n) - 1))
+            scales = [rng.choice([1, -1, 2, -3]) for _ in others]
+            columns[j] = [sum(a * columns[i][k] for a, i in zip(scales, others))
+                          for k in range(r)]
+        M = Matroid.from_matrix(QMatrix.from_rows([list(row) for row in zip(*columns)],
+                                                  cols=n))
+        expected = all(M.rank(S) == r for S in combinations(M.ground, r))
+        assert _every_r_independent(columns, r) == expected
+
+    def test_shapes_with_no_r_set_to_check(self):
+        assert _every_r_independent([], 0) and _every_r_independent([(0, 0)], 3)
+        assert random_uniform_matrix(3, 0, 1) == QMatrix.from_rows([], cols=3)
 
     def test_round_trip_matches_uniform_rmld(self, tmp_path, capsys):
         rng = random.Random(123)

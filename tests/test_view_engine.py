@@ -34,6 +34,8 @@ from mldeg import (
     score_count_dc,
     tutte,
     tutte_bruteforce,
+    uniform_matroid,
+    uniform_rmld,
     verify_stratification,
 )
 
@@ -41,7 +43,7 @@ from conftest import (
     _explicit_copy, corpus, corpus_upto, explicit_minor_by_combinations, family_matroid,
     permuted, planted_matrices, random_matrix, vamos_matroid,
 )
-from mldeg.invariants import flat_terms
+from mldeg.invariants import _char_poly_from_tutte, _dc_coeffs, flat_terms
 from view_engine import (
     MaskViews, RowViews, indices, view_char_poly, view_chi, view_tutte,
 )
@@ -238,6 +240,7 @@ def test_free_matroid_pivots_once_per_element(monkeypatch):
     # Every element is a coloop, so neither recursion may take a deletion
     # branch: each positional minor is split once, by dropping its first
     # row, and no elimination step changes a row, let alone 2^n of them.
+    # D reads the rank-2 minor left at the end off, so chi stops at rank 3.
     n = 6
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     M = Matroid.from_matrix(QMatrix.from_rows(identity))
@@ -263,9 +266,73 @@ def test_free_matroid_pivots_once_per_element(monkeypatch):
     assert split == list(range(n, 1, -1))
     split.clear()
     assert char_poly(fresh(M)) == UniPoly((-1, 1)) ** n
-    assert split == list(range(n, 0, -1))
+    assert split == list(range(n, 2, -1))
     monkeypatch.undo()
     check_rows_against_masks(M)
+
+
+# -- children of rank 1 and 2 read off -------------------------------------------
+
+
+def d_from_chi(chi: UniPoly, r: int) -> tuple:
+    """Coefficients in d of D(M, d) = (-d)^r chi(1/d) for a rank-r chi."""
+    sign = -1 if r % 2 else 1
+    return tuple(sign * c for c in reversed(chi.coeffs))
+
+
+@given(planted_matrices())
+def test_both_orders_of_d_match_views(A):
+    # The view engine reads no minor of rank 2 off in closed form, so it
+    # checks the children that D reads off, on both element orders.
+    M = Matroid.from_matrix(A)
+    for N in (M, _explicit_copy(M)):
+        expected = d_from_chi(view_char_poly(fresh(N)), N.full_rank())
+        assert _dc_coeffs(fresh(N), rotated=False) == expected
+        assert _dc_coeffs(fresh(N), rotated=True) == expected
+
+
+def test_rank_two_points_with_several_elements():
+    # Rank 2: the points (1, 0) x 3, (0, 1) x 2, (1, 1) x 2 and (1, 2), so
+    # chi = t^2 - 4 t + 3 and D = 1 - 4 d + 3 d^2.  Rank 3: contracting the
+    # first column leaves the point of (0, 1, 0), (1, 1, 0), (2, 1, 0) and
+    # (-1, -1, 0), the point of (0, 0, 1) and (1, 0, 1), and two more.
+    planes = {
+        2: [[1, 0], [2, 0], [-1, 0], [0, 1], [0, 3], [1, 1], [-2, -2], [1, 2]],
+        3: [[1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 1, 0], [0, 0, 1], [1, 0, 1],
+            [0, 1, 1], [3, 2, 5], [-1, -1, 0]],
+    }
+    for r, columns in planes.items():
+        M = Matroid.from_matrix(QMatrix.from_rows([list(row) for row in zip(*columns)]))
+        assert M.full_rank() == r and M.is_loopless()
+        chi = _char_poly_from_tutte(tutte_bruteforce(M), r)
+        if r == 2:
+            assert chi == UniPoly((3, -4, 1))
+        for N in (M, _explicit_copy(M)):
+            for rotated in (False, True):
+                assert _dc_coeffs(fresh(N), rotated) == d_from_chi(chi, r)
+            assert char_poly(fresh(N)) == chi
+            for d in (1, 2, 3):
+                assert score_count(fresh(N), d) == score_count_dc(fresh(N), d)
+
+
+@pytest.mark.parametrize("n, r, bound", [(40, 4, 1_000), (30, 5, 4_000)])
+def test_wide_low_rank_memo_stays_small(n, r, bound, monkeypatch):
+    # Reading the rank-1 and rank-2 minors off leaves D a memo of the
+    # minors of rank 3 and more: 704 entries for U(4, 40) and 3,278 for
+    # U(5, 30), against C(n, k)-many minors of every rank.
+    memos = {}
+    route = mldeg.invariants._dc_rows
+
+    def record(rows, memo):
+        memos[id(memo)] = memo
+        return route(rows, memo)
+
+    monkeypatch.setattr(mldeg.invariants, "_dc_rows", record)
+    M = uniform_matroid(n, r)
+    assert rmld(M) == uniform_rmld(n, r)
+    assert score_count_dc(M, 3) == score_count(M, 3)
+    assert len(memos) == 2
+    assert all(len(memo) <= bound for memo in memos.values())
 
 
 def check_row_state(M: Matroid, R: int, C: int, state) -> None:
