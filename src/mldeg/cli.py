@@ -182,8 +182,8 @@ def _verify_checks(M: Matroid, ds: list[int], seed: int) -> list[dict]:
     # Where the rotation n, 1, ..., n - 1 maps the root minor of D onto
     # itself, chi and score_count_dc run one recursion tree; there the
     # count is checked against chi read off the Tutte polynomial instead.
-    same_root = _dc_same_root(M)
-    tutte_chi = None
+    tutte_chi = (_char_poly_from_tutte(tutte(M), M.full_rank())
+                 if _dc_same_root(M) else None)
     value_rmld = rmld(M)
     add("rmld-oddness",
         "pass" if (value_rmld == 0 or value_rmld % 2 == 1) else "fail",
@@ -199,12 +199,10 @@ def _verify_checks(M: Matroid, ds: list[int], seed: int) -> list[dict]:
             raise UsageError("--d must be nonnegative")
         if d >= 1:
             lhs = score_count(M, d)
-            if same_root:
-                if tutte_chi is None:
-                    tutte_chi = _char_poly_from_tutte(tutte(M), M.full_rank())
-                route, rhs = "Tutte", _count_from_chi(tutte_chi, M.full_rank(), d)
-            else:
+            if tutte_chi is None:
                 route, rhs = "deletion-contraction", score_count_dc(M, d)
+            else:
+                route, rhs = "Tutte", _count_from_chi(tutte_chi, M.full_rank(), d)
             add("method-agreement", "pass" if lhs == rhs else "fail",
                 f"formula {lhs} vs {route} {rhs}", d=d)
         if d == 1 and M.n >= 1 and loopless:
