@@ -15,13 +15,7 @@ import json
 import sys
 from math import comb
 
-from .invariants import (
-    _char_poly_from_tutte,
-    _dc_same_root,
-    compute_invariants,
-    mobius_invariant,
-    tutte,
-)
+from .invariants import char_poly_flats, compute_invariants, mobius_invariant
 from .linalg import QMatrix, _eliminate, _lead, _primitive
 from .matroids import Matroid, check_bases, matroid_from_json_dict, uniform_matroid
 from .mldegree import (
@@ -33,7 +27,6 @@ from .mldegree import (
     mld,
     rmld,
     score_count,
-    score_count_dc,
     uniform_rmld,
     uniform_tutte,
     verify_stratification,
@@ -179,11 +172,10 @@ def _verify_checks(M: Matroid, ds: list[int], seed: int) -> list[dict]:
             entry["d"] = d
         checks.append(entry)
 
-    # Where the rotation n, 1, ..., n - 1 maps the root minor of D onto
-    # itself, chi and score_count_dc run one recursion tree; there the
-    # count is checked against chi read off the Tutte polynomial instead.
-    tutte_chi = (_char_poly_from_tutte(tutte(M), M.full_rank())
-                 if _dc_same_root(M) else None)
+    # The counts read chi off deletion-contraction; method-agreement checks
+    # them against chi summed over the lattice of flats, built on the first
+    # d >= 1 (zero on loopy input, with no walk).
+    flats_chi = None
     value_rmld = rmld(M)
     add("rmld-oddness",
         "pass" if (value_rmld == 0 or value_rmld % 2 == 1) else "fail",
@@ -198,13 +190,12 @@ def _verify_checks(M: Matroid, ds: list[int], seed: int) -> list[dict]:
         if d < 0:
             raise UsageError("--d must be nonnegative")
         if d >= 1:
+            if flats_chi is None:
+                flats_chi = char_poly_flats(M)
             lhs = score_count(M, d)
-            if tutte_chi is None:
-                route, rhs = "deletion-contraction", score_count_dc(M, d)
-            else:
-                route, rhs = "Tutte", _count_from_chi(tutte_chi, M.full_rank(), d)
+            rhs = _count_from_chi(flats_chi, M.full_rank(), d)
             add("method-agreement", "pass" if lhs == rhs else "fail",
-                f"formula {lhs} vs {route} {rhs}", d=d)
+                f"formula {lhs} vs flats {rhs}", d=d)
         if d == 1 and M.n >= 1 and loopless:
             v = score_count(M, 1)
             add("vacuity", "pass" if v == 0 else "fail", f"score_count(1) = {v}", d=1)

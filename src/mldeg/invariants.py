@@ -1,7 +1,7 @@
 """Tutte polynomial, characteristic polynomial, and friends.
 
-Both polynomials, and the deletion-contraction count D(M, d) behind
-mldeg.mldegree.score_count_dc, run on one positional minor step.  A
+Both polynomials run on one positional minor step, chi through the
+deletion-contraction count D(M, d) = (-d)^r chi(1/d).  A
 positional minor is the data of a minor with its elements renumbered 1..m
 in order: the primitive integer rref rows of a realized minor (a tuple of
 int tuples over m columns), or the basis bitmasks of an explicit one (a
@@ -29,13 +29,10 @@ The recursions on that step:
                  otherwise; a rank-1 minor of m non-loops and l loops is
                  (x + y + ... + y^(m-1)) y^l at once;
   char_poly      chi_k = (-1)^r D_(r-k), with D run on the element order
-                 n, 1, ..., n - 1.  score_count_dc runs D on 1, ..., n, so
-                 the two start from different minors, and the
-                 method-agreement check of `verify` compares two recursion
-                 trees; they coincide only where the rotation maps the
-                 rows or masks of M onto themselves (U(r, n) as explicit
-                 bases, say: _dc_same_root), and there `verify` compares
-                 with chi read off tutte instead.
+                 1, ..., n: the one recursion per matroid behind every
+                 degree.  `verify` checks the counts read off it against chi
+                 summed over the lattice of flats (char_poly_flats), a route
+                 that shares no code with it.
 
 None of them makes a rank or closure query of the input.  Each memo table
 lives for one top-level call; only the final chi is kept, on the Matroid
@@ -178,31 +175,10 @@ def _dc_masks_child(masks: frozenset, n: int, memo: dict) -> tuple:
     return 1, -points, points - 1
 
 
-def _dc_root(M: Matroid, rotated: bool) -> tuple | frozenset:
-    """The root minor of D on the element order 1, ..., n, or n, 1, ...,
-    n - 1 when `rotated`: the primitive rref rows of a realized M or the
-    basis masks of an explicit one, with the elements renumbered."""
-    n = M.n
-    if M.is_realized:
-        rows = M.subspace.rows
-        if rotated:
-            # Column n goes first.  The last row with a nonzero entry there
-            # is the one whose pivot it replaces: one pivot step on it, moved
-            # to the top, gives the rref again.
-            rows = [row[-1:] + row[:-1] for row in rows]
-            p = max(i for i, row in enumerate(rows) if row[0])
-            rows = _eliminate(rows, p, 0)
-            rows = (tuple(_primitive(rows.pop(p))), *map(tuple, rows))
-        return rows
-    masks = M._basis_masks
-    if rotated:
-        masks = [b >> n - 1 | b << 1 & (1 << n) - 1 for b in masks]
-    return frozenset(masks)
-
-
-def _dc_coeffs(M: Matroid, rotated: bool) -> tuple:
+def _dc_coeffs(M: Matroid) -> tuple:
     """Coefficients in d of D(M, d), by deletion-contraction on the element
-    order 1, ..., n, or n, 1, ..., n - 1 when `rotated`."""
+    order 1, ..., n, from the primitive rref rows of a realized M or the
+    basis masks of an explicit one."""
     n = M.n
     if n == 0:
         return (1,)
@@ -211,31 +187,21 @@ def _dc_coeffs(M: Matroid, rotated: bool) -> tuple:
     if M.full_rank() == 1:
         # n parallel elements: d - 1, as for n = 1.
         return (-1, 1)
-    root = _dc_root(M, rotated)
-    return _dc_rows(root, {}) if M.is_realized else _dc_masks(root, n, {})
-
-
-def _dc_same_root(M: Matroid) -> bool:
-    """Whether chi and score_count_dc run D from one root minor: M is
-    loopless of rank at least 2 and the rotation n, 1, ..., n - 1 maps its
-    rows or basis masks onto themselves (U(r, n) as explicit bases, say).
-    The two then run one recursion tree."""
-    if M.loops() or M.full_rank() < 2:
-        return False
-    return _dc_root(M, rotated=True) == _dc_root(M, rotated=False)
+    if M.is_realized:
+        return _dc_rows(M.subspace.rows, {})
+    return _dc_masks(frozenset(M._basis_masks), n, {})
 
 
 def char_poly(M: Matroid) -> UniPoly:
     """Characteristic polynomial chi(t) = (-1)^r T(1-t, 0), zero when the
     matroid has a loop.
 
-    Since D(M, d) = (-d)^r chi(1/d), chi_k = (-1)^r D_(r-k), where D runs
-    on the element order n, 1, ..., n - 1: a nonzero D has r + 1
-    coefficients.  Computed on the first call and kept on M.
+    Since D(M, d) = (-d)^r chi(1/d), chi_k = (-1)^r D_(r-k): a nonzero D
+    has r + 1 coefficients.  Computed on the first call and kept on M.
     """
     if M._charpoly is None:
         sign = -1 if M.full_rank() % 2 else 1
-        M._charpoly = UniPoly([sign * c for c in reversed(_dc_coeffs(M, rotated=True))])
+        M._charpoly = UniPoly([sign * c for c in reversed(_dc_coeffs(M))])
     return M._charpoly
 
 

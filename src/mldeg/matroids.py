@@ -35,9 +35,9 @@ class Matroid:
 
     Rank and closure queries keep nothing: direct ones, and those of
     `coloops`, `bases` of a realized input and `connected_components`,
-    compute each answer anew.  The `flats` walk, Tutte, chi and the
-    deletion-contraction count ask none of them.  What an instance keeps is
-    one value per invariant (flats, components, chi, the count in d) and,
+    compute each answer anew.  The `flats` walk, Tutte and the
+    deletion-contraction count behind chi ask none of them.  What an
+    instance keeps is one value per invariant (flats, components, chi) and,
     for explicit input, the basis bitsets `_holders`, built on its first
     query or walk, not on construction.
     """
@@ -51,7 +51,6 @@ class Matroid:
         "_flats",
         "_components",
         "_charpoly",
-        "_dc_poly",
     )
 
     def __init__(self, n: int, subspace: Subspace | None = None,
@@ -70,8 +69,6 @@ class Matroid:
         self._components = None
         # Characteristic polynomial, set by mldeg.invariants.char_poly.
         self._charpoly = None
-        # Deletion-contraction count in d, set by mldeg.mldegree._dc_poly.
-        self._dc_poly = None
         if subspace is not None:
             if subspace.ambient_n != n:
                 raise ValueError("subspace ambient dimension must equal n")

@@ -10,14 +10,14 @@ Everything here is a function of the matroid M of the subspace L:
 
 All three read only the characteristic polynomial chi.  Since
 d^r T(1 - 1/d, 0) = (-d)^r chi(1/d), the count is also a Tutte evaluation.
-score_count_dc recomputes the same number by deletion-contraction, a
-second route used in the verification suite.  It recurses on each minor's
-own data, the primitive integer rref rows of a realized minor or the basis
-bitmasks of an explicit one, removing element 1 each time.  chi runs the
-same recursion (mldeg.invariants) on another element order, n first, so
-the two start from different minors.  The result is a polynomial in d, kept
-on the Matroid, so one pass serves every exponent.  All degrees are zero as
-soon as the matroid has a loop.
+chi itself is read off one deletion-contraction run per matroid
+(mldeg.invariants): the count D(M, d) as a polynomial in d, recursing on
+each minor's own data, the primitive integer rref rows of a realized minor
+or the basis bitmasks of an explicit one, removing element 1 each time.  It
+is kept on the Matroid, so one pass serves every exponent and every degree;
+score_count_dc is a name for the same count.  The method-agreement check of
+`verify` compares it with chi summed over the lattice of flats.  All
+degrees are zero as soon as the matroid has a loop.
 
 The size caps of the exact solver (`OracleCaps`) and its two errors live
 here, not in `mldeg.solver`: a caller can refuse an over-cap instance, or
@@ -31,7 +31,7 @@ import os
 from collections import Counter
 from collections.abc import Sequence
 
-from .invariants import _dc_coeffs, char_poly, flat_terms, mobius_invariant
+from .invariants import char_poly, flat_terms, mobius_invariant
 from .linalg import Subspace
 from .matroids import Matroid, _flat_walk, flats, is_partition_matroid
 from .ratpoly import BiPoly, UniPoly, _frozen
@@ -83,7 +83,7 @@ def score_count(M: Matroid | Subspace, d: int) -> int:
 
 
 def score_count_dc(M: Matroid | Subspace, d: int) -> int:
-    """The same count by deletion-contraction on the first element:
+    """The count by deletion-contraction on the first element:
 
         0 on a loop, (d-1) * D(M/e) on a coloop, D(M\\e) + d * D(M/e)
         otherwise, with value 1 on the empty ground set.
@@ -91,23 +91,12 @@ def score_count_dc(M: Matroid | Subspace, d: int) -> int:
     A single coloop therefore counts d-1: solving the one-variable score
     system directly gives x^(d-1) = 1/s.  The recursion is linear in its
     children, so it runs once per matroid and returns D as a polynomial in
-    d (`_dc_poly`, kept on M), which is evaluated here.  It runs on another
-    element order than chi.
+    d, which is chi reversed (`invariants._dc_coeffs`).  That run is the one
+    behind char_poly, so this is score_count for d >= 1.
     """
     if d < 1:
         raise ValueError("deletion-contraction route needs d >= 1")
-    return _dc_poly(_as_matroid(M)).evaluate(d)
-
-
-def _dc_poly(M: Matroid) -> UniPoly:
-    """D(M, d) as a polynomial in d, computed on the first call and kept on
-    M.  The recursion reads only the minors' own data: the primitive integer
-    rref rows of a realized minor or the basis bitmasks of an explicit one,
-    each also its memo key (`invariants._dc_coeffs`).  It keeps element 1
-    first, so it runs on another element order than chi."""
-    if M._dc_poly is None:
-        M._dc_poly = UniPoly(_dc_coeffs(M, rotated=False))
-    return M._dc_poly
+    return score_count(M, d)
 
 
 def _binom(m: int, k: int) -> int:

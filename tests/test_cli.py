@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 import mldeg
 import mldeg.cli
+import mldeg.invariants
 
 from mldeg import Matroid, QMatrix, uniform_rmld
 from mldeg.cli import (
@@ -27,7 +28,7 @@ from mldeg.cli import (
     random_uniform_matrix,
 )
 
-from conftest import _explicit_copy, corpus, permuted
+from conftest import _explicit_copy, corpus
 
 
 def write_json(tmp_path, name, payload):
@@ -221,33 +222,59 @@ class TestVerify:
         assert all(c["status"] == "skip" for c in solver)
         assert solver[0]["detail"] == "subspace has dimension 0; every degree is 0"
 
-    def test_same_root_inputs_check_the_count_against_tutte(self, monkeypatch):
-        # chi runs D on the element order n, 1, ..., n - 1, score_count_dc on
-        # 1, ..., n.  Where the rotation maps the rows or basis masks onto
-        # themselves, the two run one recursion tree, so the method-agreement
-        # check reads chi off the Tutte polynomial instead: on exactly those
-        # inputs, 19 of the loopless corpus inputs of rank at least 2.
-        monkeypatch.setattr(mldeg.cli.OracleCaps, "from_env",
-                            classmethod(lambda cls: cls(max_n=0)))
-        called = []
-        route = mldeg.cli.tutte
-        monkeypatch.setattr(mldeg.cli, "tutte", lambda M: called.append(M) or route(M))
-        same = 0
-        for M in corpus():
+    @staticmethod
+    def agreement_under(patch, inputs, ds):
+        """The method-agreement statuses of every input, copied fresh so no
+        cached chi hides the patch, with the solver refused by its caps."""
+        patch.setattr(mldeg.cli.OracleCaps, "from_env",
+                      classmethod(lambda cls: cls(max_n=0)))
+        statuses = []
+        for M in inputs:
             N = Matroid.from_subspace(M.subspace) if M.is_realized else _explicit_copy(M)
-            rotated = permuted(N, [N.n, *range(1, N.n)])
-            data = [P.subspace.rows if P.is_realized else frozenset(P._basis_masks)
-                    for P in (rotated, N)]
-            coincide = N.is_loopless() and N.full_rank() >= 2 and data[0] == data[1]
-            called.clear()
-            checks = _verify_checks(N, [0, 1, 2, 3], 0)
-            assert called == ([N] if coincide else [])
-            agreement = [c for c in checks if c["name"] == "method-agreement"]
-            assert [c["status"] for c in agreement] == ["pass"] * 3
-            name = "Tutte" if coincide else "deletion-contraction"
-            assert all(f" vs {name} " in c["detail"] for c in agreement)
-            same += coincide
-        assert same == 19
+            statuses.append([c["status"] for c in _verify_checks(N, ds, 0)
+                             if c["name"] == "method-agreement"])
+        return statuses
+
+    def test_a_planted_d_fault_fails_every_input(self, monkeypatch):
+        # Every degree reads chi off one deletion-contraction run, and the
+        # method-agreement check compares with chi summed over the lattice of
+        # flats, which shares no code with it.  A D whose constant
+        # coefficient is off by one, wherever _dc_coeffs is bound, must fail
+        # it on every loopless input of rank at least 1, realized or explicit.
+        route = mldeg.invariants._dc_coeffs
+
+        def off_by_one(M):
+            coeffs = route(M)
+            return (coeffs[0] + 1, *coeffs[1:]) if coeffs else coeffs
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("mldeg")]:
+            if getattr(module, "_dc_coeffs", None) is route:
+                monkeypatch.setattr(module, "_dc_coeffs", off_by_one)
+        inputs = [M for M in corpus() if M.is_loopless() and M.full_rank() >= 1]
+        assert len(inputs) == 111
+        assert self.agreement_under(monkeypatch, inputs, [1, 2, 3]) == [["fail"] * 3] * 111
+
+    def test_a_planted_rank_two_fault_fails_every_input(self, monkeypatch):
+        # D reads a loopless rank-2 child with p points off as
+        # 1 - p d + (p - 1) d^2.  Counting one point too many adds d (d - 1)
+        # to it, and every loopless input of rank at least 3 reaches such a
+        # child, so the count goes up at d = 2 and 3 and stays at d = 1.
+        def one_more_point(child):
+            def patched(minor, *rest):
+                value = child(minor, *rest)
+                if len(value) != 3:  # a rank-1 read-off or a recursion
+                    return value
+                one, minus_p, p_minus_one = value
+                return one, minus_p - 1, p_minus_one + 1
+            return patched
+
+        for name in ("_dc_rows_child", "_dc_masks_child"):
+            monkeypatch.setattr(mldeg.invariants, name,
+                                one_more_point(getattr(mldeg.invariants, name)))
+        inputs = [M for M in corpus() if M.is_loopless() and M.full_rank() >= 3]
+        assert len(inputs) == 52 and sum(not M.is_realized for M in inputs) == 5
+        assert (self.agreement_under(monkeypatch, inputs, [1, 2, 3])
+                == [["pass", "fail", "fail"]] * 52)
 
     def test_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         import mldeg.cli as cli_module

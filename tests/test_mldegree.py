@@ -1,6 +1,7 @@
 import copy
 import pickle
 from fractions import Fraction
+from itertools import permutations
 from math import prod
 
 import mldeg.invariants
@@ -29,15 +30,15 @@ from mldeg import (
     uniform_tutte,
     verify_stratification,
 )
-from mldeg.invariants import flat_terms
+from mldeg.invariants import _dc_coeffs, char_poly_flats, flat_terms
 from mldeg.mldegree import (
-    FlatContribution, StratificationReport, _count_from_chi, _dc_poly,
+    FlatContribution, StratificationReport, _count_from_chi,
 )
 from mldeg.ratpoly import UniPoly
 
 from conftest import (
-    _explicit_copy, corpus, corpus_upto, explicit_minor_by_combinations, family_chi,
-    family_matroid, family_roots, k4_matroid, permuted, planted_matrices,
+    _explicit_copy, corpus_upto, explicit_minor_by_combinations, family_chi,
+    family_matroid, family_roots, k4_matroid, planted_matrices,
     reference_flat_terms, reference_flats, vamos_matroid,
 )
 
@@ -126,8 +127,9 @@ class TestScoreCountDc:
 
     def test_agreement_with_formula(self):
         for M in corpus_upto(7)[:60]:
+            chi = char_poly_flats(M)
             for d in (1, 2, 3, 4):
-                assert score_count(M, d) == score_count_dc(M, d)
+                assert score_count_dc(M, d) == _count_from_chi(chi, M.full_rank(), d)
 
 
 def reference_score_count_dc(M: Matroid, d: int) -> int:
@@ -159,9 +161,10 @@ def reference_score_count_dc(M: Matroid, d: int) -> int:
 
 
 def chi_expansion(M: Matroid) -> UniPoly:
-    """(-d)^r chi(1/d) = (-1)^r sum_k chi_k d^(r-k), as a polynomial in d."""
+    """(-d)^r chi(1/d) = (-1)^r sum_k chi_k d^(r-k), as a polynomial in d,
+    with chi summed over the lattice of flats."""
     r = M.full_rank()
-    chi = char_poly(M).coeffs
+    chi = char_poly_flats(M).coeffs
     if not chi:
         return UniPoly.zero()
     sign = -1 if r % 2 else 1
@@ -180,13 +183,13 @@ class TestDeletionContractionRoute:
             expected = reference_score_count_dc(M, d)
             assert reference_score_count_dc(E, d) == expected
             assert score_count_dc(M, d) == score_count_dc(E, d) == expected
-        assert _dc_poly(M) == _dc_poly(E) == chi_expansion(M)
+        assert UniPoly(_dc_coeffs(M)) == UniPoly(_dc_coeffs(E)) == chi_expansion(M)
 
     def test_matches_reference_on_corpus(self):
         for M in corpus_upto(8)[:80]:
             for d in (1, 2, 3):
                 assert score_count_dc(M, d) == reference_score_count_dc(M, d)
-            assert _dc_poly(M) == chi_expansion(M)
+            assert UniPoly(_dc_coeffs(M)) == chi_expansion(M)
 
     @given(planted_matrices())
     def test_minors_are_canonical_rows(self, A):
@@ -207,53 +210,28 @@ class TestDeletionContractionRoute:
         for rows in seen:
             assert Subspace.from_matrix(Subspace(len(rows[0]), rows).basis).rows == rows
 
-    def test_one_pass_serves_every_exponent(self, monkeypatch):
-        M, E = k4_matroid(), _explicit_copy(k4_matroid())
-        first = (score_count_dc(M, 1), score_count_dc(E, 1))
-        expected = [score_count(k4_matroid(), d) for d in (2, 3, 4)]
+    def test_one_pass_serves_every_exponent(self):
+        # chi and every count read one deletion-contraction run: whichever of
+        # them is asked first, the others, in any order, run no second one.
+        routes = {"rmld": rmld, "char_poly": char_poly,
+                  **{f"score_count {d}": lambda M, d=d: score_count(M, d) for d in (1, 3)},
+                  **{f"score_count_dc {d}": lambda M, d=d: score_count_dc(M, d)
+                     for d in (1, 3, 4)}}
+        expected = {name: route(k4_matroid()) for name, route in routes.items()}
+        assert expected["score_count 1"] == expected["score_count_dc 1"] == 0
 
         def refuse(*_):
             raise AssertionError("deletion-contraction ran twice")
 
-        monkeypatch.setattr(mldeg.invariants, "_dc_rows", refuse)
-        monkeypatch.setattr(mldeg.invariants, "_dc_masks", refuse)
-        assert first == (0, 0)
-        for d, count in zip((2, 3, 4), expected):
-            assert score_count_dc(M, d) == score_count_dc(E, d) == count
-
-    def test_starts_from_another_root_minor_than_chi(self, monkeypatch):
-        # chi runs the same recursion on the element order n, 1, ..., n - 1,
-        # so the method-agreement check of verify compares two recursion
-        # trees.  They coincide only where that rotation maps the rows or
-        # the basis masks of M onto themselves (U(r, n) as explicit bases,
-        # U(n, n) realized); there every element order gives the same
-        # minors.  Such inputs stay a minority of the corpus.
-        seen = []
-        for name in ("_dc_rows", "_dc_masks"):
-            def record(minor, *rest, route=getattr(mldeg.invariants, name)):
-                seen.append(minor)
-                return route(minor, *rest)
-
-            monkeypatch.setattr(mldeg.invariants, name, record)
-        checked = distinct = 0
-        for M in corpus():
-            # A rank-1 input is read off at once, with no recursion.
-            if M.full_rank() < 2 or M.loops():
-                continue
-            checked += 1
-            N = Matroid.from_subspace(M.subspace) if M.is_realized else _explicit_copy(M)
-            roots = []
-            for route in (char_poly, _dc_poly):
-                seen.clear()
-                route(N)
-                roots.append(seen[0])
-            rotated = permuted(N, [N.n, *range(1, N.n)])
-            data = [P.subspace.rows if P.is_realized else frozenset(P._basis_masks)
-                    for P in (rotated, N)]
-            assert roots == data
-            assert (roots[0] == roots[1]) == (data[0] == data[1])
-            distinct += roots[0] != roots[1]
-        assert distinct > checked // 2
+        for order in permutations(["rmld", "char_poly", "score_count 3", "score_count_dc 3"]):
+            M, E = k4_matroid(), _explicit_copy(k4_matroid())
+            first, *rest = [*order, "score_count 1", "score_count_dc 1", "score_count_dc 4"]
+            assert routes[first](M) == routes[first](E) == expected[first]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(mldeg.invariants, "_dc_rows", refuse)
+                patch.setattr(mldeg.invariants, "_dc_masks", refuse)
+                for name in rest:
+                    assert routes[name](M) == routes[name](E) == expected[name], name
 
 
 class TestStructuredCounts:
