@@ -1,38 +1,39 @@
 """Tutte polynomial, characteristic polynomial, and friends.
 
-Both polynomials run on one positional minor step, chi through the
-deletion-contraction count D(M, d) = (-d)^r chi(1/d).  A
-positional minor is the data of a minor with its elements renumbered 1..m
-in order: the primitive integer rref rows of a realized minor (a tuple of
-int tuples over m columns), or the basis bitmasks of an explicit one (a
-frozenset, element k at bit k - 1).  It is its own memo key, so different
-branches that reach the same minor share one entry, as in Haggard, Pearce
-and Royle, "Computing Tutte polynomials" (ACM TOMS 37, 2010).  Each step
-removes element 1:
+Both polynomials run on positional minors, chi through the
+deletion-contraction count D(M, d) = (-d)^r chi(1/d).  A positional minor
+is the data of a minor with its elements renumbered 1..m in order, of one
+of two kinds:
 
-  _rows_minors   M\\1 drops column 0 of every row and, unless the first row
-                 is then zero (1 is a coloop), takes one fraction-free pivot
-                 step on that row; M/1 is the other rows without column 0;
-  _masks_minors  M\\1 is the masks without bit 0 and M/1 the masks with
-                 it, both shifted right.
+  _Rows   a realized minor: its primitive integer rref rows, a tuple of int
+          tuples over m columns.  M\\1 drops column 0 of every row and,
+          unless the first row is then zero (1 is a coloop), takes one
+          fraction-free pivot step on that row (_rows_minors); M/1 is the
+          other rows without column 0.
+  _Masks  an explicit minor: the bitmasks of its bases, element k at bit
+          k - 1, and m.  M\\1 is the masks without bit 0 and M/1 the masks
+          with it, both shifted right.
 
-The recursions on that step:
+A kind also gives the rank, the loopless test, the points (parallel
+classes) of a rank-2 minor and the loops of a rank-1 one.  A minor is its
+own memo key, so different branches that reach the same minor share one
+entry, as in Haggard, Pearce and Royle, "Computing Tutte polynomials" (ACM
+TOMS 37, 2010).  One recursion per algebra serves both kinds:
 
-  _dc_rows, _dc_masks  D in d of a loopless minor of rank at least 2: 0 on
-                 a loop, (d - 1) D(M/1) on a coloop, D(M\\1) + d D(M/1)
-                 otherwise; a child M\\1 or M/1 of rank 1 or 2 is read
-                 off with no further recursion: d - 1 when it is loopless
-                 of rank 1 (chi = t - 1), and 1 - p d + (p - 1) d^2 when
-                 it is loopless of rank 2 with p points, its parallel
-                 classes (chi = t^2 - p t + (p - 1));
-  tutte          y T(M\\1) on a loop, x T(M/1) on a coloop, T(M\\1) + T(M/1)
-                 otherwise; a rank-1 minor of m non-loops and l loops is
-                 (x + y + ... + y^(m-1)) y^l at once;
-  char_poly      chi_k = (-1)^r D_(r-k), with D run on the element order
-                 1, ..., n: the one recursion per matroid behind every
-                 degree.  `verify` checks the counts read off it against chi
-                 summed over the lattice of flats (char_poly_flats), a route
-                 that shares no code with it.
+  _dc     D in d of a loopless minor: 0 on a loop, (d - 1) D(M/1) on a
+          coloop, D(M\\1) + d D(M/1) otherwise; rank 1 and 2, the input's
+          too, are read off: d - 1 (chi = t - 1), and 1 - p d + (p - 1) d^2
+          with p points (chi = t^2 - p t + (p - 1));
+  _tutte  y T(M\\1) on a loop, x T(M/1) on a coloop, T(M\\1) + T(M/1)
+          otherwise; rank 1 with m non-loops and l loops is read off as
+          (x + y + ... + y^(m-1)) y^l.
+
+Each walks the deletion chain M, M\\1, M\\1\\2, ..., which keeps the
+rank, in a loop and recurses only into contractions, so its depth is at most
+the rank, not n.  char_poly reads chi_k = (-1)^r D_(r-k) off one D run on
+the element order 1, ..., n: the one recursion per matroid behind every
+degree.  `verify` checks the counts read off it against chi summed over the
+lattice of flats (char_poly_flats), a route that shares no code with it.
 
 None of them makes a rank or closure query of the input.  Each memo table
 lives for one top-level call; only the final chi is kept, on the Matroid
@@ -55,7 +56,7 @@ from .matroids import Matroid, _flat_walk
 from .ratpoly import BiPoly, UniPoly, _frozen
 
 
-# -- the positional minor step --------------------------------------------------
+# -- the two minor kinds --------------------------------------------------------
 
 
 def _rows_minors(rows: tuple) -> tuple[tuple | None, tuple]:
@@ -82,15 +83,83 @@ def _rows_minors(rows: tuple) -> tuple[tuple | None, tuple]:
     return deleted, contracted
 
 
-def _masks_minors(masks: frozenset) -> tuple[frozenset, frozenset]:
-    """M\\1 and M/1 of the explicit minor whose bases have the bitmasks
-    `masks`: the masks without bit 0 and the masks with it, shifted right.
-    The first is empty when element 1 is a coloop, the second when it is a
-    loop."""
-    held, missed = [], []
-    for b in masks:
-        (held if b & 1 else missed).append(b >> 1)
-    return frozenset(missed), frozenset(held)
+class _Rows:
+    """A realized minor: its primitive rref rows, at least one."""
+
+    @staticmethod
+    def step(rows: tuple) -> tuple[tuple | None, tuple | None]:
+        """M\\1, None on a coloop, and M/1, None on a loop: column 0 is a
+        loop when the first row, and so every row, is zero there."""
+        if rows[0][0]:
+            return _rows_minors(rows)
+        return tuple(row[1:] for row in rows), None
+
+    rank = staticmethod(len)
+
+    @staticmethod
+    def loopless(rows: tuple) -> bool:
+        return all(map(any, zip(*rows)))
+
+    @staticmethod
+    def points(rows: tuple) -> int:
+        """Parallel classes of a loopless rank-2 minor: its distinct
+        primitive columns."""
+        return len({tuple(_primitive(column)) for column in zip(*rows)})
+
+    @staticmethod
+    def rank_one(rows: tuple) -> tuple[int, int]:
+        """Non-loops and loops of a rank-1 minor."""
+        m = sum(map(bool, rows[0]))
+        return m, len(rows[0]) - m
+
+
+class _Masks:
+    """An explicit minor: the bitmasks of its bases and its size n.  Equal
+    masks on different n differ by loops at the end."""
+
+    @staticmethod
+    def step(minor: tuple) -> tuple[tuple | None, tuple | None]:
+        """M\\1, the masks without bit 0, and M/1, the masks with it, both
+        shifted right; None where there are none (a coloop, a loop)."""
+        masks, n = minor
+        held, missed = [], []
+        for b in masks:
+            (held if b & 1 else missed).append(b >> 1)
+        return ((frozenset(missed), n - 1) if missed else None,
+                (frozenset(held), n - 1) if held else None)
+
+    @staticmethod
+    def rank(minor: tuple) -> int:
+        return next(iter(minor[0])).bit_count()
+
+    @staticmethod
+    def loopless(minor: tuple) -> bool:
+        masks, n = minor
+        return reduce(or_, masks) == (1 << n) - 1
+
+    @staticmethod
+    def points(minor: tuple) -> int:
+        """Parallel classes of a loopless rank-2 minor: the point of an
+        element e is e and the elements that share no basis with it."""
+        masks, n = minor
+        points, rest = 0, (1 << n) - 1
+        while rest:
+            e = rest & -rest
+            rest &= reduce(or_, (b for b in masks if b & e)) ^ e
+            points += 1
+        return points
+
+    @staticmethod
+    def rank_one(minor: tuple) -> tuple[int, int]:
+        masks, n = minor
+        return len(masks), n - len(masks)
+
+
+def _root(M: Matroid) -> tuple:
+    """The kind and the positional minor of M on the element order 1, ..., n."""
+    if M.is_realized:
+        return _Rows, M.subspace.rows
+    return _Masks, (frozenset(M._basis_masks), M.n)
 
 
 # -- D(M, d), and chi from it ---------------------------------------------------
@@ -110,86 +179,39 @@ def _dc_combine(deleted: tuple | None, contracted: tuple) -> tuple:
     return tuple(map(add, deleted, shifted)) + deleted[len(shifted):]
 
 
-def _dc_rows(rows: tuple, memo: dict) -> tuple:
-    """D in d of the loopless realized minor of rank at least 2 whose
-    primitive rref rows are `rows`."""
-    value = memo.get(rows)
-    if value is not None:
-        return value
-    deleted, contracted = _rows_minors(rows)
-    if all(map(any, zip(*contracted))):
-        contracted_value = _dc_rows_child(contracted, memo)
-    else:
-        contracted_value = ()
-    deleted_value = None if deleted is None else _dc_rows_child(deleted, memo)
-    value = _dc_combine(deleted_value, contracted_value)
-    memo[rows] = value
-    return value
-
-
-def _dc_rows_child(rows: tuple, memo: dict) -> tuple:
-    """D of a loopless child M\\1 or M/1 of _dc_rows: recursion from rank 3
-    on, read off below it.  A rank-2 child has a point for each of its
-    distinct primitive columns."""
-    if len(rows) > 2:
-        return _dc_rows(rows, memo)
-    if len(rows) == 1:
-        return -1, 1
-    points = len({tuple(_primitive(column)) for column in zip(*rows)})
-    return 1, -points, points - 1
-
-
-def _dc_masks(masks: frozenset, n: int, memo: dict) -> tuple:
-    """D in d of the loopless explicit minor of rank at least 2 on n
-    elements whose bases have the bitmasks `masks`.  The loops of M/1 are
-    the bits none of its masks covers."""
-    value = memo.get(masks)
-    if value is not None:
-        return value
-    deleted, contracted = _masks_minors(masks)
-    if reduce(or_, contracted) == (1 << n - 1) - 1:
-        contracted_value = _dc_masks_child(contracted, n - 1, memo)
-    else:
-        contracted_value = ()
-    deleted_value = _dc_masks_child(deleted, n - 1, memo) if deleted else None
-    value = _dc_combine(deleted_value, contracted_value)
-    memo[masks] = value
-    return value
-
-
-def _dc_masks_child(masks: frozenset, n: int, memo: dict) -> tuple:
-    """D of a loopless child M\\1 or M/1 of _dc_masks, on n elements:
-    recursion from rank 3 on, read off below it.  In a rank-2 child the
-    point of an element e is e and the elements that share no basis with
-    it."""
-    rank = next(iter(masks)).bit_count()
-    if rank > 2:
-        return _dc_masks(masks, n, memo)
+def _dc(kind: type, minor: tuple, memo: dict) -> tuple:
+    """D in d of a loopless minor of the kind `kind`.  Deleting a non-coloop
+    keeps the rank and adds no loop, so the chain walked from `minor` is read
+    off or split as `minor` is, and only a loopless contraction recurses."""
+    rank = kind.rank(minor)
     if rank == 1:
         return -1, 1
-    points, rest = 0, (1 << n) - 1
-    while rest:
-        e = rest & -rest
-        rest &= reduce(or_, (b for b in masks if b & e)) ^ e
-        points += 1
-    return 1, -points, points - 1
+    if rank == 2:
+        points = kind.points(minor)
+        return 1, -points, points - 1
+    chain = []
+    value = memo.get(minor)
+    while value is None:
+        deleted, contracted = kind.step(minor)
+        chain.append((minor, _dc(kind, contracted, memo) if kind.loopless(contracted) else ()))
+        if deleted is None:
+            break
+        minor = deleted
+        value = memo.get(minor)
+    for minor, contracted_value in reversed(chain):
+        value = _dc_combine(value, contracted_value)
+        memo[minor] = value
+    return value
 
 
 def _dc_coeffs(M: Matroid) -> tuple:
     """Coefficients in d of D(M, d), by deletion-contraction on the element
-    order 1, ..., n, from the primitive rref rows of a realized M or the
-    basis masks of an explicit one."""
-    n = M.n
-    if n == 0:
+    order 1, ..., n."""
+    if M.n == 0:
         return (1,)
     if M.loops():
         return ()
-    if M.full_rank() == 1:
-        # n parallel elements: d - 1, as for n = 1.
-        return (-1, 1)
-    if M.is_realized:
-        return _dc_rows(M.subspace.rows, {})
-    return _dc_masks(frozenset(M._basis_masks), n, {})
+    return _dc(*_root(M), {})
 
 
 def char_poly(M: Matroid) -> UniPoly:
@@ -208,64 +230,38 @@ def char_poly(M: Matroid) -> UniPoly:
 # -- Tutte ----------------------------------------------------------------------
 
 
-def _rank_one(m: int, loops: int) -> BiPoly:
-    """T of m >= 1 parallel elements and `loops` loops:
-    (x + y + ... + y^(m-1)) y^loops."""
-    return BiPoly({(1, loops): 1, **{(0, j): 1 for j in range(loops + 1, loops + m)}})
-
-
-def _tutte_rows(rows: tuple, memo: dict) -> BiPoly:
-    """T of the realized minor whose primitive rref rows, at least one, are
-    `rows`.  Column 0 is a loop when the first row, and so every row, is
-    zero there."""
-    value = memo.get(rows)
-    if value is not None:
-        return value
-    if len(rows) == 1:
-        m = sum(map(bool, rows[0]))
-        value = _rank_one(m, len(rows[0]) - m)
-    elif not rows[0][0]:
-        value = _tutte_rows(tuple(row[1:] for row in rows), memo).shift(0, 1)
-    else:
-        deleted, contracted = _rows_minors(rows)
-        value = _tutte_rows(contracted, memo)
-        value = value.shift(1, 0) if deleted is None else _tutte_rows(deleted, memo) + value
-    memo[rows] = value
-    return value
-
-
-def _tutte_masks(masks: frozenset, n: int, memo: dict) -> BiPoly:
-    """T of the explicit minor of rank at least 1 on n elements whose bases
-    have the bitmasks `masks`.  Equal masks on different n differ by loops
-    at the end, so n is part of the key."""
-    key = masks, n
-    value = memo.get(key)
-    if value is not None:
-        return value
-    if next(iter(masks)).bit_count() == 1:
-        value = _rank_one(len(masks), n - len(masks))
-    else:
-        deleted, contracted = _masks_minors(masks)
-        if not contracted:
-            value = _tutte_masks(deleted, n - 1, memo).shift(0, 1)
-        elif not deleted:
-            value = _tutte_masks(contracted, n - 1, memo).shift(1, 0)
+def _tutte(kind: type, minor: tuple, memo: dict) -> BiPoly:
+    """T of a minor of rank at least 1 of the kind `kind`.  Deleting a loop
+    or a non-coloop keeps the rank, so only a contraction recurses."""
+    if kind.rank(minor) == 1:
+        m, loops = kind.rank_one(minor)
+        return BiPoly({(1, loops): 1, **{(0, j): 1 for j in range(loops + 1, loops + m)}})
+    chain = []
+    value = memo.get(minor)
+    while value is None:
+        deleted, contracted = kind.step(minor)
+        chain.append((minor, None if contracted is None else _tutte(kind, contracted, memo)))
+        if deleted is None:
+            break
+        minor = deleted
+        value = memo.get(minor)
+    for minor, contracted_value in reversed(chain):
+        if value is None:
+            value = contracted_value.shift(1, 0)
+        elif contracted_value is None:
+            value = value.shift(0, 1)
         else:
-            value = _tutte_masks(deleted, n - 1, memo) + _tutte_masks(contracted, n - 1, memo)
-    memo[key] = value
+            value = value + contracted_value
+        memo[minor] = value
     return value
 
 
 def tutte(M: Matroid) -> BiPoly:
     """Tutte polynomial by deletion-contraction on element 1 of each
-    positional minor: y T(M\\1) on a loop, x T(M/1) on a coloop and
-    T(M\\1) + T(M/1) otherwise, with a rank-1 minor read off at once and
-    y^n for rank 0."""
+    positional minor, y^n for rank 0."""
     if not M.full_rank():
         return BiPoly({(0, M.n): 1})
-    if M.is_realized:
-        return _tutte_rows(M.subspace.rows, {})
-    return _tutte_masks(frozenset(M._basis_masks), M.n, {})
+    return _tutte(*_root(M), {})
 
 
 def tutte_bruteforce(M: Matroid) -> BiPoly:

@@ -37,9 +37,9 @@ class Matroid:
     `coloops`, `bases` of a realized input and `connected_components`,
     compute each answer anew.  The `flats` walk, Tutte and the
     deletion-contraction count behind chi ask none of them.  What an
-    instance keeps is one value per invariant (flats, components, chi) and,
-    for explicit input, the basis bitsets `_holders`, built on its first
-    query or walk, not on construction.
+    instance keeps is one value per invariant (loops, flats, components,
+    chi) and, for explicit input, the basis bitsets `_holders`, built on its
+    first query or walk, not on construction.
     """
 
     __slots__ = (
@@ -48,6 +48,7 @@ class Matroid:
         "_bases",
         "_basis_masks",
         "_holders",
+        "_loops",
         "_flats",
         "_components",
         "_charpoly",
@@ -64,6 +65,7 @@ class Matroid:
         self._bases = None
         self._basis_masks = None
         self._holders = None
+        self._loops = None
         # The walk up the lattice of flats, set by _flat_walk.
         self._flats = None
         self._components = None
@@ -199,14 +201,18 @@ class Matroid:
         return _elements_of(self.closure_mask(self.mask(S)))
 
     def loops(self) -> tuple[int, ...]:
-        """Zero columns of a realization, or elements in no basis."""
-        if self._subspace is None:
-            covered = 0
-            for b in self._basis_masks:
-                covered |= b
-            return tuple(e for e in self.ground if not covered >> (e - 1) & 1)
-        return tuple(j + 1 for j in range(self.n)
-                     if not any(row[j] for row in self._subspace.rows))
+        """Zero columns of a realization, or elements in no basis; computed
+        on the first call and kept."""
+        if self._loops is None:
+            if self._subspace is None:
+                covered = 0
+                for b in self._basis_masks:
+                    covered |= b
+                self._loops = tuple(e for e in self.ground if not covered >> (e - 1) & 1)
+            else:
+                self._loops = tuple(j + 1 for j in range(self.n)
+                                    if not any(row[j] for row in self._subspace.rows))
+        return self._loops
 
     def coloops(self) -> tuple[int, ...]:
         r = self.full_rank()

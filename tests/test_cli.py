@@ -255,26 +255,17 @@ class TestVerify:
         assert self.agreement_under(monkeypatch, inputs, [1, 2, 3]) == [["fail"] * 3] * 111
 
     def test_a_planted_rank_two_fault_fails_every_input(self, monkeypatch):
-        # D reads a loopless rank-2 child with p points off as
+        # D reads a loopless rank-2 minor with p points off as
         # 1 - p d + (p - 1) d^2.  Counting one point too many adds d (d - 1)
-        # to it, and every loopless input of rank at least 3 reaches such a
-        # child, so the count goes up at d = 2 and 3 and stays at d = 1.
-        def one_more_point(child):
-            def patched(minor, *rest):
-                value = child(minor, *rest)
-                if len(value) != 3:  # a rank-1 read-off or a recursion
-                    return value
-                one, minus_p, p_minus_one = value
-                return one, minus_p - 1, p_minus_one + 1
-            return patched
-
-        for name in ("_dc_rows_child", "_dc_masks_child"):
-            monkeypatch.setattr(mldeg.invariants, name,
-                                one_more_point(getattr(mldeg.invariants, name)))
-        inputs = [M for M in corpus() if M.is_loopless() and M.full_rank() >= 3]
-        assert len(inputs) == 52 and sum(not M.is_realized for M in inputs) == 5
+        # to it, and every loopless input of rank at least 2 is or reaches
+        # such a minor, so the count goes up at d = 2 and 3 and stays at d = 1.
+        for kind in (mldeg.invariants._Rows, mldeg.invariants._Masks):
+            monkeypatch.setattr(kind, "points",
+                                lambda minor, points=kind.points: points(minor) + 1)
+        inputs = [M for M in corpus() if M.is_loopless() and M.full_rank() >= 2]
+        assert len(inputs) == 85 and sum(not M.is_realized for M in inputs) == 7
         assert (self.agreement_under(monkeypatch, inputs, [1, 2, 3])
-                == [["pass", "fail", "fail"]] * 52)
+                == [["pass", "fail", "fail"]] * 85)
 
     def test_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         import mldeg.cli as cli_module

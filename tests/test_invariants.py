@@ -1,4 +1,6 @@
 import gc
+import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,8 +22,11 @@ from mldeg import (
     tutte,
     tutte_bruteforce,
     uniform_matroid,
+    uniform_rmld,
+    uniform_tutte,
 )
 
+from mldeg.cli import main
 from mldeg.invariants import flat_terms
 
 from conftest import (
@@ -95,8 +100,8 @@ class TestTutte:
         def refuse(*_):
             raise AssertionError("a rank-1 minor was expanded")
 
-        monkeypatch.setattr(mldeg.invariants, "_rows_minors", refuse)
-        monkeypatch.setattr(mldeg.invariants, "_masks_minors", refuse)
+        for kind in (mldeg.invariants._Rows, mldeg.invariants._Masks):
+            monkeypatch.setattr(kind, "step", refuse)
         expected = BiPoly({(1, 0): 1, **{(0, j): 1 for j in range(1, m)}})
         M = Matroid.from_matrix(mat([list(range(1, m + 1))]))
         assert tutte(M) == tutte(_explicit_copy(M)) == expected
@@ -256,3 +261,28 @@ class TestMemoLifetime:
         gc.collect()
         assert call(M)
         assert gc.collect() == 0
+
+
+class TestNoRecursionWall:
+    """Deletion-contraction recurses only into contractions, so its depth
+    is at most the rank, however long the deletion chains: these inputs run
+    at the default recursion limit, which a recursion per deleted element
+    would pass."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        assert sys.getrecursionlimit() == 1000
+
+    def test_wide_rank_three_rmld(self):
+        assert rmld(uniform_matroid(1200, 3)) == uniform_rmld(1200, 3)
+
+    def test_wide_rank_two_tutte(self):
+        assert tutte(uniform_matroid(1100, 2)) == uniform_tutte(1100, 2)
+
+    def test_leading_loops_tutte(self):
+        M = Matroid.from_matrix(mat([[0] * 1100 + [1, 0, 1], [0] * 1100 + [0, 1, 1]]))
+        assert tutte(M) == uniform_tutte(3, 2) * BiPoly({(0, 1100): 1})
+
+    def test_cli_uniform_exits_zero(self, capsys):
+        assert main(["uniform", "--n", "600", "--r", "3", "--d", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == str(uniform_rmld(600, 3))

@@ -398,6 +398,11 @@ class TestLoopsColoops:
             assert M.loops() == tuple(e for e in M.ground if M.rank({e}) == 0)
             assert M.full_rank() == M.rank(M.ground)
 
+    def test_loops_are_computed_once(self):
+        # Every degree asks for the loops, several times per request.
+        loopy = [M for M in corpus() if M.loops()]
+        assert loopy and all(M.loops() is M.loops() for M in loopy)
+
 
 class TestConnectivity:
     def test_u13_single_component(self):

@@ -194,20 +194,23 @@ class TestDeletionContractionRoute:
     @given(planted_matrices())
     def test_minors_are_canonical_rows(self, A):
         # Each realized minor is visited as the primitive rref rows that
-        # Subspace stores, so equal minors share one memo entry.
-        seen = []
-        route = mldeg.invariants._dc_rows
+        # Subspace stores, so equal minors share one memo entry: every root
+        # the D recursion is called on, and every node of a deletion chain it
+        # stores.
+        seen, memos = [], []
+        route = mldeg.invariants._dc
 
-        def record(rows, memo):
+        def record(kind, rows, memo):
             seen.append(rows)
-            return route(rows, memo)
+            memos.append(memo)
+            return route(kind, rows, memo)
 
-        mldeg.invariants._dc_rows = record
+        mldeg.invariants._dc = record
         try:
             score_count_dc(Matroid.from_matrix(A), 2)
         finally:
-            mldeg.invariants._dc_rows = route
-        for rows in seen:
+            mldeg.invariants._dc = route
+        for rows in seen + [rows for memo in memos for rows in memo]:
             assert Subspace.from_matrix(Subspace(len(rows[0]), rows).basis).rows == rows
 
     def test_one_pass_serves_every_exponent(self):
@@ -228,8 +231,7 @@ class TestDeletionContractionRoute:
             first, *rest = [*order, "score_count 1", "score_count_dc 1", "score_count_dc 4"]
             assert routes[first](M) == routes[first](E) == expected[first]
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(mldeg.invariants, "_dc_rows", refuse)
-                patch.setattr(mldeg.invariants, "_dc_masks", refuse)
+                patch.setattr(mldeg.invariants, "_dc", refuse)
                 for name in rest:
                     assert routes[name](M) == routes[name](E) == expected[name], name
 

@@ -318,13 +318,13 @@ def test_wide_low_rank_memo_stays_small(n, r, bound, monkeypatch):
     # U(5, 30), against C(n, k)-many minors of every rank.  chi and the
     # count share one run.
     memos = {}
-    route = mldeg.invariants._dc_rows
+    route = mldeg.invariants._dc
 
-    def record(rows, memo):
+    def record(kind, rows, memo):
         memos[id(memo)] = memo
-        return route(rows, memo)
+        return route(kind, rows, memo)
 
-    monkeypatch.setattr(mldeg.invariants, "_dc_rows", record)
+    monkeypatch.setattr(mldeg.invariants, "_dc", record)
     M = uniform_matroid(n, r)
     assert rmld(M) == uniform_rmld(n, r)
     assert score_count_dc(M, 3) == score_count(M, 3)
