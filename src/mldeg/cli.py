@@ -15,7 +15,7 @@ import json
 import sys
 from math import comb
 
-from .invariants import char_poly_flats, compute_invariants, mobius_invariant
+from .invariants import char_poly_flats, compute_invariants
 from .linalg import QMatrix, _eliminate, _lead, _primitive
 from .matroids import Matroid, check_bases, matroid_from_json_dict, uniform_matroid
 from .mldegree import (
@@ -106,6 +106,9 @@ def _load_matroid(path: str) -> Matroid:
     try:
         M = matroid_from_json_dict(data)
         if not M.is_realized:
+            if len(M._basis_masks) > MAX_EXPLICIT_BASES:
+                raise CapacityError(f"{path} lists {len(M._basis_masks)} bases, more than "
+                                    f"the cap of {MAX_EXPLICIT_BASES} on explicit input")
             check_bases(M)
     except ValueError as exc:
         raise UsageError(f"bad input in {path}: {exc}") from exc
@@ -172,15 +175,15 @@ def _verify_checks(M: Matroid, ds: list[int], seed: int) -> list[dict]:
             entry["d"] = d
         checks.append(entry)
 
-    # The counts read chi off deletion-contraction; method-agreement checks
-    # them against chi summed over the lattice of flats, built on the first
-    # d >= 1 (zero on loopy input, with no walk).
-    flats_chi = None
+    # The counts read chi off deletion-contraction; specialization-d0 and
+    # method-agreement check them against chi summed over the lattice of
+    # flats (zero on loopy input, with no walk).
+    flats_chi = char_poly_flats(M)
     value_rmld = rmld(M)
     add("rmld-oddness",
         "pass" if (value_rmld == 0 or value_rmld % 2 == 1) else "fail",
         f"rmld = {value_rmld}")
-    mu_abs = abs(mobius_invariant(M))
+    mu_abs = abs(flats_chi.evaluate(0))
     mld_value = mld(M)
     spec0 = score_count(M, 0) == mld_value == mu_abs
     add("specialization-d0", "pass" if spec0 else "fail",
@@ -190,8 +193,6 @@ def _verify_checks(M: Matroid, ds: list[int], seed: int) -> list[dict]:
         if d < 0:
             raise UsageError("--d must be nonnegative")
         if d >= 1:
-            if flats_chi is None:
-                flats_chi = char_poly_flats(M)
             lhs = score_count(M, d)
             rhs = _count_from_chi(flats_chi, M.full_rank(), d)
             add("method-agreement", "pass" if lhs == rhs else "fail",
@@ -312,6 +313,11 @@ def _cmd_random(args) -> int:
 # 184,756 of n = 20, r = 10 take about 2 s on a 2-core host, and the
 # C(40, 20) of n = 40, r = 20 would take months.
 MAX_RANDOM_MINORS = 200_000
+
+# Most bases an explicit input may list: check_bases takes about 0.6 us per
+# pair of bases, so the 3,003 of U(6,14) take about 6 s on a 2-core host and
+# the 16,807 of K7 minutes.
+MAX_EXPLICIT_BASES = 4_000
 
 
 def _every_r_independent(columns: list, r: int) -> bool:

@@ -379,8 +379,7 @@ class InvariantReport:
 def compute_invariants(M: Matroid) -> InvariantReport:
     T = tutte(M)
     r = M.full_rank()
-    chi = _char_poly_from_tutte(T, r)
-    M._charpoly = chi
+    chi = char_poly(M)
     poincare = _poincare_from_chi(chi, r) if M.is_loopless() else None
     return InvariantReport(
         n=M.n,

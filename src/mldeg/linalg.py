@@ -8,10 +8,11 @@ entrywise equality of the rows.  Every integer elimination here is built
 from one fraction-free pivot step, _eliminate, which clears a column outside
 one row and divides each changed row by its content.  Input is brought to
 the stored form by clearing denominators once and running Gauss-Jordan
-elimination by such steps; a rank counts the steps that drop a row
-(_pivot), and rows taken modulo a set of columns (_modulo) are one _pivot
-per column, whose zero columns then mark the closure of the set.  The
-minors of mldeg.invariants take the same steps on the stored rows, so no
+elimination by such steps; a rank is the number of rows of that form.  Rows
+taken modulo a set of columns (_modulo) are one _pivot step per column,
+which drops the row it pivots on: for the stored rows, the rank of the set
+is the number of rows dropped, and the zero columns left mark its closure.
+The minors of mldeg.invariants take the same steps on the stored rows, so no
 minor goes through Fractions: they appear only at the boundary, in QMatrix
 input, in rref() and in the Subspace.basis matrix that the solver and JSON
 output read.
@@ -175,20 +176,7 @@ def _modulo(rows: Sequence[Sequence[int]], mask: int, n: int
 
 def rank(A: QMatrix) -> int:
     """Exact rank over the rationals."""
-    return rank_int_rows(_integer_rows(A.entries))
-
-
-def rank_int_rows(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix given as nested sequences: the number of
-    _pivot steps that drop a row, one step per column."""
-    rk = 0
-    for j in range(len(rows[0]) if rows else 0):
-        if not rows:
-            break
-        kept = _pivot(rows, j)
-        rk += len(rows) - len(kept)
-        rows = kept
-    return rk
+    return Subspace.from_matrix(A).dim
 
 
 def rref(A: QMatrix) -> QMatrix:

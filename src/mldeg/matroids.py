@@ -8,10 +8,11 @@ with no realization at hand.
 
 Subsets are also handled as int bitmasks, element e at bit e - 1.  Rank and
 closure queries are answered afresh each time, not memoized: a realized
-rank eliminates the columns of the mask, and a realized closure is read off
-the integer rows after one pivot step per column of the mask.  An explicit
-rank is a greedy count over one bitset of bases per element, and the
-closure adds the elements that no basis left after the count holds.
+one is read off the integer rows after one pivot step per column of the
+mask, the rank as the number of rows dropped and the closure as the zero
+columns left.  An explicit rank is a greedy count over one bitset of bases
+per element, and the closure adds the elements that no basis left after
+the count holds.
 
 Minors are not built here: the invariants recurse on the rref rows or the
 basis masks of a minor (mldeg.invariants).  The flats are found by one walk
@@ -26,7 +27,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import QMatrix, Subspace, _modulo, _pivot, _primitive, rank_int_rows
+from .linalg import QMatrix, Subspace, _modulo, _pivot, _primitive
 from .ratpoly import _frozen
 
 
@@ -45,7 +46,6 @@ class Matroid:
     __slots__ = (
         "n",
         "_subspace",
-        "_bases",
         "_basis_masks",
         "_holders",
         "_loops",
@@ -62,7 +62,6 @@ class Matroid:
             raise ValueError("provide exactly one of subspace or bases")
         self.n = n
         self._subspace = subspace
-        self._bases = None
         self._basis_masks = None
         self._holders = None
         self._loops = None
@@ -88,8 +87,7 @@ class Matroid:
                     raise ValueError("bases must all have the same size")
                 if any(e < 1 or e > n for e in b):
                     raise ValueError("basis element outside 1..n")
-            self._bases = tuple(sorted(blist, key=sorted))
-            self._basis_masks = tuple(_mask_of(b) for b in self._bases)
+            self._basis_masks = tuple(_mask_of(b) for b in sorted(blist, key=sorted))
 
     # -- construction -----------------------------------------------------
 
@@ -127,7 +125,7 @@ class Matroid:
         """Canonical hashable key: equal keys mean equal labeled matroids."""
         if self._subspace is not None:
             return ("rref", self.n, self._subspace.rows)
-        return ("bases", self.n, tuple(tuple(sorted(b)) for b in self._bases))
+        return ("bases", self.n, tuple(tuple(sorted(b)) for b in self.bases()))
 
     # -- rank oracle -------------------------------------------------------
 
@@ -167,10 +165,8 @@ class Matroid:
         """Rank of the subset whose element e sits at bit e - 1."""
         if self._subspace is None:
             return self._greedy(mask)[0]
-        cols = [j for j in range(self.n) if mask >> j & 1]
-        return rank_int_rows(
-            [[row[j] for j in cols] for row in self._subspace.rows]
-        ) if cols else 0
+        rows = self._subspace.rows
+        return len(rows) - len(_modulo(rows, mask, self.n)[0])
 
     def closure_mask(self, mask: int) -> int:
         """Mask of the largest superset of `mask` with the same rank.
@@ -194,7 +190,7 @@ class Matroid:
     def full_rank(self) -> int:
         if self._subspace is not None:
             return self._subspace.dim
-        return len(self._bases[0])
+        return self._basis_masks[0].bit_count()
 
     def closure(self, S: Iterable[int]) -> frozenset:
         """Largest superset of S with the same rank."""
@@ -224,8 +220,8 @@ class Matroid:
 
     def bases(self) -> tuple[frozenset, ...]:
         """All bases (enumerated by rank queries in the realized case)."""
-        if self._bases is not None:
-            return self._bases
+        if self._basis_masks is not None:
+            return tuple(map(_elements_of, self._basis_masks))
         r = self.full_rank()
         out = [frozenset(c) for c in combinations(self.ground, r)
                if self.rank(c) == r]
@@ -290,7 +286,7 @@ class _FlatWalk:
     its sums from `_mobius_sums` (`chis`) and |mu(M/F)| (`mus`); also keeps
     what is built from them on first read."""
 
-    __slots__ = ("masks", "ranks", "chis", "mus", "lattice", "terms", "strata")
+    __slots__ = ("masks", "ranks", "chis", "mus", "lattice", "terms")
 
     def __init__(self, M: Matroid):
         n, r = M.n, M.full_rank()
@@ -310,7 +306,7 @@ class _FlatWalk:
         up = _mobius_sums([masks[-1] ^ F for F in reversed(masks)], n)
         self.masks, self.ranks, self.chis = masks, ranks, _mobius_sums(masks, n, ranks)
         self.mus = [abs(mu) for mu in reversed(up)]
-        self.lattice = self.terms = self.strata = None
+        self.lattice = self.terms = None
 
 
 def _flat_walk(M: Matroid) -> _FlatWalk:

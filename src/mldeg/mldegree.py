@@ -31,7 +31,7 @@ import os
 from collections import Counter
 from collections.abc import Sequence
 
-from .invariants import char_poly, flat_terms, mobius_invariant
+from .invariants import char_poly, char_poly_flats, flat_terms, mobius_invariant
 from .linalg import Subspace
 from .matroids import Matroid, _flat_walk, flats, is_partition_matroid
 from .ratpoly import BiPoly, UniPoly, _frozen
@@ -59,16 +59,12 @@ def _count_from_chi(chi: UniPoly, r: int, d: int) -> int:
 
 def rmld(M: Matroid | Subspace) -> int:
     """Reciprocal ML degree: (-2)^r chi(1/2), zero when loops are present."""
-    M = _as_matroid(M)
-    return _count_from_chi(char_poly(M), M.full_rank(), 2)
+    return score_count(M, 2)
 
 
 def mld(M: Matroid | Subspace) -> int:
     """ML degree: |chi(0)| = |mu(M)|, zero when loops are present."""
-    M = _as_matroid(M)
-    if M.loops():
-        return 0
-    return abs(mobius_invariant(M))
+    return abs(mobius_invariant(_as_matroid(M)))
 
 
 def score_count(M: Matroid | Subspace, d: int) -> int:
@@ -193,11 +189,11 @@ def verify_stratification(L: Matroid | Subspace, d: int) -> StratificationReport
 
     computed entirely by the combinatorial formulas: mu(M) from chi, the
     right-hand side from the walk up the lattice of flats, as a sum over
-    the distinct triples (chi(M|F), rk F, |mu(M/F)|), counted once per
-    matroid for every d.  `per_flat` is built when it is read.  For d = 0
-    the score equations are linear and every solution has full support, so
-    the identity degenerates to |mu(M)| = D(M, 0) with the full ground set
-    as the only stratum.
+    the distinct triples (chi(M|F), rk F, |mu(M/F)|).  `per_flat` is built
+    when it is read.  For d = 0 the score equations are linear and every
+    solution has full support, so the identity degenerates to |mu(M)| =
+    D(M, 0), the full ground set the only stratum, with D(M, 0) read off
+    chi summed over the flats.
     """
     M = _as_matroid(L)
     if d < 0:
@@ -206,15 +202,14 @@ def verify_stratification(L: Matroid | Subspace, d: int) -> StratificationReport
         raise ValueError("stratification identity needs a loopless matroid")
     mu_abs = abs(mobius_invariant(M))
     if d == 0:
-        top = score_count(M, 0)
+        top = abs(char_poly_flats(M).evaluate(0))
         return StratificationReport(0, mu_abs, top, (FlatContribution(M.ground, top, 1),),
                                     mu_abs == top)
     lhs = d ** M.full_rank() * mu_abs
     walk = _flat_walk(M)
-    if walk.strata is None:
-        strata = Counter(zip(walk.chis, walk.ranks, walk.mus))
-        walk.strata = [(UniPoly(chi), rk, mu * k) for (chi, rk, mu), k in strata.items()]
-    rhs = sum(_count_from_chi(chi, rk, d) * weight for chi, rk, weight in walk.strata)
+    strata = Counter(zip(walk.chis, walk.ranks, walk.mus))
+    rhs = sum(_count_from_chi(UniPoly(chi), rk, d) * mu * k
+              for (chi, rk, mu), k in strata.items())
     report = object.__new__(StratificationReport)
     report.__dict__.update(d=d, lhs=lhs, rhs=rhs, holds=lhs == rhs, _matroid=M)
     return report

@@ -15,12 +15,13 @@ import mldeg
 import mldeg.cli
 import mldeg.invariants
 
-from mldeg import Matroid, QMatrix, uniform_rmld
+from mldeg import BiPoly, Matroid, QMatrix, char_poly, compute_invariants, rmld, uniform_rmld
 from mldeg.cli import (
     EXIT_CAPACITY,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
+    MAX_EXPLICIT_BASES,
     MAX_RANDOM_MINORS,
     _every_r_independent,
     _verify_checks,
@@ -28,7 +29,9 @@ from mldeg.cli import (
     random_uniform_matrix,
 )
 
-from conftest import _explicit_copy, corpus
+from mldeg.matroids import matroid_from_json_dict
+
+from conftest import _explicit_copy, corpus, family_matroid
 
 
 def write_json(tmp_path, name, payload):
@@ -41,6 +44,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh(M):
+    """A copy of M with nothing computed, so no cached chi hides a patch."""
+    return Matroid.from_subspace(M.subspace) if M.is_realized else _explicit_copy(M)
 
 
 GENERIC_2X3 = {"rows": 2, "cols": 3,
@@ -119,6 +127,31 @@ class TestInvariants:
         assert "1e30000000" in run.stderr and run.stdout == ""
         assert elapsed < 1.0, elapsed
 
+    def test_chi_has_one_producer(self, tmp_path, capsys, monkeypatch):
+        # The report reads chi off the deletion-contraction count D, as every
+        # degree does, not off its Tutte polynomial: a fault planted in tutte
+        # shows in the Tutte field and nowhere else.
+        route = mldeg.invariants.tutte
+
+        def planted(M):
+            return route(M) + BiPoly({(1, 0): 1})
+
+        monkeypatch.setattr(mldeg.invariants, "tutte", planted)
+        for M in corpus():
+            N = fresh(M)
+            report = compute_invariants(N)
+            assert report.tutte == planted(M)
+            assert report.charpoly == char_poly(fresh(M)) == char_poly(N)
+            assert rmld(N) == rmld(fresh(M))
+        for payload in (GENERIC_2X3, U34_BASES):
+            path = write_json(tmp_path, "m.json", payload)
+            code, out, _ = run(capsys, "invariants", "--input", path)
+            data = json.loads(out)
+            assert code == EXIT_OK
+            assert data["tutte"] == planted(matroid_from_json_dict(payload)).to_term_list()
+            assert (data["rmld"], data["mld"], data["mobius"]) == (
+                ("3", "2", "2") if payload is GENERIC_2X3 else ("7", "3", "-3"))
+
 
 class TestScoreCountAndRmld:
     def test_rmld_command(self, tmp_path, capsys):
@@ -176,6 +209,35 @@ class TestScoreCountAndRmld:
         assert code == EXIT_USAGE and out == ""
         assert "error: bad input" in err and "'matrix' and 'bases'" in err
 
+    def test_explicit_k7_is_refused_at_once(self, tmp_path, capsys):
+        # check_bases is quadratic in the number of bases: the 3,003 of
+        # U(6,14) take seconds, the 16,807 spanning trees of K7 minutes.
+        K7 = family_matroid("K", 7)
+        trees = [sorted(b) for b in K7.bases()]
+        assert comb(14, 6) <= MAX_EXPLICIT_BASES < len(trees) == 16807
+        path = write_json(tmp_path, "k7.json", {"n": K7.n, "bases": trees})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "rmld", "--input", path)
+        assert time.perf_counter() - start < 5.0
+        assert code == EXIT_CAPACITY and out == ""
+        assert "capacity error" in err and "16807 bases" in err
+        assert str(MAX_EXPLICIT_BASES) in err
+
+    def test_cap_is_on_the_number_of_bases(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path, "m.json", U34_BASES)
+        monkeypatch.setattr(mldeg.cli, "MAX_EXPLICIT_BASES", 4)
+        code, out, _ = run(capsys, "rmld", "--input", path)
+        assert code == EXIT_OK and json.loads(out)["rmld"] == "7"
+
+        def refuse(M):
+            raise AssertionError("check_bases ran on an over-cap input")
+
+        monkeypatch.setattr(mldeg.cli, "MAX_EXPLICIT_BASES", 3)
+        monkeypatch.setattr(mldeg.cli, "check_bases", refuse)
+        code, out, err = run(capsys, "rmld", "--input", path)
+        assert code == EXIT_CAPACITY and out == ""
+        assert "4 bases" in err and "cap of 3" in err
+
 
 class TestVerify:
     def test_all_pass_on_u23(self, tmp_path, capsys):
@@ -223,17 +285,21 @@ class TestVerify:
         assert solver[0]["detail"] == "subspace has dimension 0; every degree is 0"
 
     @staticmethod
-    def agreement_under(patch, inputs, ds):
-        """The method-agreement statuses of every input, copied fresh so no
-        cached chi hides the patch, with the solver refused by its caps."""
+    def statuses_under(patch, inputs, ds, names=("method-agreement",)):
+        """The statuses of the checks `names` on every input, copied fresh,
+        with the solver refused by its caps."""
         patch.setattr(mldeg.cli.OracleCaps, "from_env",
                       classmethod(lambda cls: cls(max_n=0)))
-        statuses = []
-        for M in inputs:
-            N = Matroid.from_subspace(M.subspace) if M.is_realized else _explicit_copy(M)
-            statuses.append([c["status"] for c in _verify_checks(N, ds, 0)
-                             if c["name"] == "method-agreement"])
-        return statuses
+        return [[c["status"] for c in _verify_checks(fresh(M), ds, 0) if c["name"] in names]
+                for M in inputs]
+
+    @staticmethod
+    def plant_in_d(patch, fault):
+        """Routes every _dc_coeffs binding through `fault`."""
+        route = mldeg.invariants._dc_coeffs
+        for module in [m for name, m in sys.modules.items() if name.startswith("mldeg")]:
+            if getattr(module, "_dc_coeffs", None) is route:
+                patch.setattr(module, "_dc_coeffs", lambda M: fault(route(M)))
 
     def test_a_planted_d_fault_fails_every_input(self, monkeypatch):
         # Every degree reads chi off one deletion-contraction run, and the
@@ -241,18 +307,24 @@ class TestVerify:
         # flats, which shares no code with it.  A D whose constant
         # coefficient is off by one, wherever _dc_coeffs is bound, must fail
         # it on every loopless input of rank at least 1, realized or explicit.
-        route = mldeg.invariants._dc_coeffs
-
-        def off_by_one(M):
-            coeffs = route(M)
-            return (coeffs[0] + 1, *coeffs[1:]) if coeffs else coeffs
-
-        for module in [m for name, m in sys.modules.items() if name.startswith("mldeg")]:
-            if getattr(module, "_dc_coeffs", None) is route:
-                monkeypatch.setattr(module, "_dc_coeffs", off_by_one)
+        self.plant_in_d(monkeypatch,
+                        lambda coeffs: (coeffs[0] + 1, *coeffs[1:]) if coeffs else coeffs)
         inputs = [M for M in corpus() if M.is_loopless() and M.full_rank() >= 1]
         assert len(inputs) == 111
-        assert self.agreement_under(monkeypatch, inputs, [1, 2, 3]) == [["fail"] * 3] * 111
+        assert self.statuses_under(monkeypatch, inputs, [1, 2, 3]) == [["fail"] * 3] * 111
+
+    def test_a_planted_d_zero_fault_fails_every_input(self, monkeypatch):
+        # At d = 0 both checks compare |chi(0)| read off D with |mu| summed
+        # over the lattice of flats.  A D whose top coefficient, (-1)^r chi(0),
+        # is off by one must fail both on every loopless input of rank at
+        # least 1.
+        self.plant_in_d(monkeypatch,
+                        lambda coeffs: (*coeffs[:-1], coeffs[-1] + 1) if coeffs else coeffs)
+        inputs = [M for M in corpus() if M.is_loopless() and M.full_rank() >= 1]
+        assert len(inputs) == 111
+        names = ("specialization-d0", "stratification")
+        assert (self.statuses_under(monkeypatch, inputs, [0], names)
+                == [["fail", "fail"]] * 111)
 
     def test_a_planted_rank_two_fault_fails_every_input(self, monkeypatch):
         # D reads a loopless rank-2 minor with p points off as
@@ -264,7 +336,7 @@ class TestVerify:
                                 lambda minor, points=kind.points: points(minor) + 1)
         inputs = [M for M in corpus() if M.is_loopless() and M.full_rank() >= 2]
         assert len(inputs) == 85 and sum(not M.is_realized for M in inputs) == 7
-        assert (self.agreement_under(monkeypatch, inputs, [1, 2, 3])
+        assert (self.statuses_under(monkeypatch, inputs, [1, 2, 3])
                 == [["pass", "fail", "fail"]] * 85)
 
     def test_failure_exit_code(self, tmp_path, capsys, monkeypatch):

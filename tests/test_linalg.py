@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mldeg import QMatrix, Subspace, rank, rref
-from mldeg.linalg import _echelon, _integer_rows, rank_int_rows
+from mldeg import Matroid, QMatrix, Subspace, rank, rref
+from mldeg.linalg import _echelon, _integer_rows
 
 from conftest import any_matrices, mixed_copy
 
@@ -205,8 +205,13 @@ class TestPivotSteps:
     def test_rank_matches_bareiss(self, A):
         rows = _integer_rows(A.entries)
         expected = len(_bareiss_echelon(rows)[1])
-        assert rank_int_rows(rows) == rank(A) == expected == naive_rank(A)
-        assert rank_int_rows([tuple(row) for row in rows]) == expected
+        assert rank(A) == expected == naive_rank(A)
+        # A realized rank counts the stored rows that _modulo drops; the
+        # full mask gives the rank of A.
+        M = Matroid.from_matrix(A)
+        for mask in range(1 << A.cols):
+            columns = [[row[j] for j in range(A.cols) if mask >> j & 1] for row in rows]
+            assert M.rank_mask(mask) == len(_bareiss_echelon(columns)[1])
 
 
 class TestRank:
